@@ -14,13 +14,11 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/aggregators.h"
 #include "core/flow_convolution.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "tensor/csr.h"
 #include "tensor/tensor.h"
 
@@ -234,68 +232,6 @@ void BM_ForwardBackwardStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardBackwardStep)
     ->Apply([](benchmark::internal::Benchmark* b) { SweepArgs(b, {24, 50}); });
-
-// End-to-end step benchmarks: a full training step (forward, MSE loss,
-// release-graph backward, fused Adam update) and an inference step (forward
-// plus prediction readout) on a flow-aggregation layer at graph size n. The
-// second argument toggles common::BufferPool, so one run compares the
-// steady-state pooled path against fresh heap allocation. Runs at the
-// hardware thread count — the e2e numbers are about allocation behaviour,
-// not thread scaling (the kernel sweeps above cover that).
-void E2eArgs(benchmark::internal::Benchmark* b) {
-  for (int64_t n : {128, 256, 512}) {
-    for (int64_t pooled : {0, 1}) b->Args({n, pooled});
-  }
-}
-
-void BM_TrainStep(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool pooled = state.range(1) != 0;
-  common::SetNumThreads(common::HardwareThreads());
-  common::BufferPool* pool = common::BufferPool::Global();
-  const bool prior = pool->enabled();
-  pool->SetEnabled(pooled);
-  common::Rng rng(9);
-  core::FlowGnnLayer layer(n, &rng);
-  Variable features =
-      Variable::Constant(Tensor::RandomNormal({n, n}, 0, 1, &rng));
-  Variable flow = Variable::Constant(RandomEdgeMask(n, 25, &rng));
-  Variable target =
-      Variable::Constant(Tensor::RandomNormal({n, n}, 0, 1, &rng));
-  nn::Adam adam(layer.parameters(), 1e-3f);
-  for (auto _ : state) {
-    adam.ZeroGrad();
-    Variable out = layer.Forward(features, flow);
-    Variable loss = ag::MeanAll(ag::Square(ag::Sub(out, target)));
-    loss.Backward({.release_graph = true});
-    adam.Step();
-    benchmark::DoNotOptimize(loss.value().item());
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t{n} * n);
-  pool->SetEnabled(prior);
-}
-BENCHMARK(BM_TrainStep)->Apply(E2eArgs);
-
-void BM_InferenceStep(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const bool pooled = state.range(1) != 0;
-  common::SetNumThreads(common::HardwareThreads());
-  common::BufferPool* pool = common::BufferPool::Global();
-  const bool prior = pool->enabled();
-  pool->SetEnabled(pooled);
-  common::Rng rng(10);
-  core::FlowGnnLayer layer(n, &rng);
-  Variable features =
-      Variable::Constant(Tensor::RandomNormal({n, n}, 0, 1, &rng));
-  Variable flow = Variable::Constant(RandomEdgeMask(n, 25, &rng));
-  for (auto _ : state) {
-    Variable out = layer.Forward(features, flow);
-    benchmark::DoNotOptimize(out.value().flat(0));
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t{n} * n);
-  pool->SetEnabled(prior);
-}
-BENCHMARK(BM_InferenceStep)->Apply(E2eArgs);
 
 }  // namespace
 }  // namespace stgnn

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -79,7 +78,7 @@ struct BufferPool::Impl {
 };
 
 BufferPool::BufferPool()
-    : impl_(new Impl()), enabled_(BufferPoolEnabledFromEnv()) {}
+    : impl_(new Impl()), enabled_(true) {}
 
 BufferPool* BufferPool::Global() {
   // Leaked, like the thread pool and the counter registry: tensors owned by
@@ -202,13 +201,6 @@ BufferPool::Stats BufferPool::stats() const {
   s.released = impl_->released.load(std::memory_order_relaxed);
   s.recycled_bytes = impl_->recycled_bytes.load(std::memory_order_relaxed);
   return s;
-}
-
-bool BufferPoolEnabledFromEnv() {
-  const char* env = std::getenv("STGNN_BUFFER_POOL");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
 }
 
 }  // namespace stgnn::common

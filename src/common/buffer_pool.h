@@ -31,9 +31,9 @@ namespace stgnn::common {
 // are bit-identical, and tests/buffer_pool_test.cc pins forward/backward
 // parity with the pool on and off.
 //
-// The pool is enabled by default; the STGNN_BUFFER_POOL environment
-// variable (0/false/off) or SetEnabled(false) bypasses it, in which case
-// every acquisition is a fresh allocation and every release frees.
+// The pool is enabled by default; SetEnabled(false) bypasses it (the
+// parity tests' unpooled reference), in which case every acquisition is a
+// fresh allocation and every release frees.
 class BufferPool {
  public:
   // Smallest pooled class; requests below it still go through the pool (a
@@ -91,10 +91,6 @@ class BufferPool {
   Impl* impl_;
   std::atomic<bool> enabled_;
 };
-
-// The STGNN_BUFFER_POOL environment default: false for "0", "false" or
-// "off", true otherwise (including unset).
-bool BufferPoolEnabledFromEnv();
 
 }  // namespace stgnn::common
 

@@ -2,29 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-
-#include "common/buffer_pool.h"
 
 namespace stgnn::core {
-
-float DefaultSparseDensityThreshold() {
-  if (const char* env = std::getenv("STGNN_SPARSE_DENSITY")) {
-    char* end = nullptr;
-    const float parsed = std::strtof(env, &end);
-    if (end != env) return parsed;
-  }
-  return 0.25f;
-}
-
-bool DefaultBufferPoolEnabled() { return common::BufferPoolEnabledFromEnv(); }
-
-bool DefaultServeCacheEnabled() {
-  const char* env = std::getenv("STGNN_SERVE_CACHE");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
-}
 
 tensor::Precision DefaultInferPrecision() {
   const char* env = std::getenv("STGNN_INFER_PRECISION");
@@ -33,7 +12,7 @@ tensor::Precision DefaultInferPrecision() {
   if (!tensor::ParsePrecision(env, &parsed)) {
     std::fprintf(stderr,
                  "stgnn: STGNN_INFER_PRECISION=%s not recognised "
-                 "(want fp32|bf16|int8); using fp32\n",
+                 "(want fp32|int8); using fp32\n",
                  env);
     return tensor::Precision::kFp32;
   }

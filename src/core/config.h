@@ -20,23 +20,8 @@ enum class Aggregator {
 
 const char* AggregatorToString(Aggregator aggregator);
 
-// Default for StgnnConfig::sparse_density_threshold: the
-// STGNN_SPARSE_DENSITY environment variable when set (0 disables the
-// sparse path, 1 forces it for any FCG), else 0.25 — around where the
-// bench_baseline density sweep puts the sparse-vs-dense crossover for the
-// CSR aggregation kernels.
-float DefaultSparseDensityThreshold();
-
-// Default for StgnnConfig::buffer_pool: the STGNN_BUFFER_POOL environment
-// variable (0/false/off disables), else true.
-bool DefaultBufferPoolEnabled();
-
-// Default for StgnnConfig::serve_cache: the STGNN_SERVE_CACHE environment
-// variable (0/false/off disables), else true.
-bool DefaultServeCacheEnabled();
-
 // Default for StgnnConfig::infer_precision: the STGNN_INFER_PRECISION
-// environment variable (fp32|bf16|int8; unknown values warn and fall back),
+// environment variable (fp32|int8; unknown values warn and fall back),
 // else fp32.
 tensor::Precision DefaultInferPrecision();
 
@@ -76,29 +61,15 @@ struct StgnnConfig {
   int num_threads = 0;
   // FCG aggregation runs on the sparse CSR kernels when the slot's edge
   // density (edges / n², self-loops included) is strictly below this, and
-  // on the dense kernels otherwise. Both paths are bit-identical, so the
-  // threshold is purely a performance knob. Defaults to 0.25, overridable
-  // with the STGNN_SPARSE_DENSITY environment variable; <= 0 disables the
-  // sparse path entirely.
-  float sparse_density_threshold = DefaultSparseDensityThreshold();
-  // Routes tensor storage through the process-wide buffer pool
-  // (common::BufferPool) while Train/Predict runs, so a steady-state
-  // training step performs (near-)zero fresh heap allocations. Both modes
-  // are bit-identical; this is purely a performance knob. Defaults to on,
-  // overridable with the STGNN_BUFFER_POOL environment variable.
-  bool buffer_pool = DefaultBufferPoolEnabled();
-  // Enables the serving-side slot cache (serve::SlotCache): the
-  // PredictionService memoises the assembled window, flow-convolution
-  // embeddings, and FCG pattern per (slot, snapshot version) and replays
-  // only the staged forward tail across request batches on the same slot.
-  // Cached and cold serving paths are bit-identical, so this is purely a
-  // performance knob. Defaults to on, overridable with the
-  // STGNN_SERVE_CACHE environment variable.
-  bool serve_cache = DefaultServeCacheEnabled();
+  // on the dense kernels otherwise. Both paths are bit-identical; 0.25 is
+  // around where the bench_baseline density sweep puts the crossover for
+  // the CSR aggregation kernels. Tests set it to force either dispatch
+  // (<= 0 disables the sparse path entirely).
+  float sparse_density_threshold = 0.25f;
   // Weight precision for the *inference* forward (PredictionService and
   // StgnnDjdPredictor::Predict/PredictHorizon). fp32 is the bit-exact
-  // default; bf16/int8 snapshot eligible weights at reduced precision for
-  // a faster, smaller serving path gated by an RMSE-delta regression
+  // default; int8 snapshots eligible weights at reduced precision for a
+  // faster, smaller serving path gated by an RMSE-delta regression
   // (tests/quantize_test.cc), not bitwise parity. Training always runs
   // fp32 regardless of this knob. Defaults from STGNN_INFER_PRECISION.
   tensor::Precision infer_precision = DefaultInferPrecision();

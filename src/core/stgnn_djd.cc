@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/buffer_pool.h"
 #include "common/counters.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -310,7 +309,6 @@ data::StHistory StgnnDjdPredictor::HistoryAt(const data::FlowDataset& flow,
 void StgnnDjdPredictor::Train(const data::FlowDataset& flow) {
   STGNN_TRACE_SCOPE("Train");
   if (config_.num_threads > 0) common::SetNumThreads(config_.num_threads);
-  common::BufferPool::Global()->SetEnabled(config_.buffer_pool);
   common::Rng rng(config_.seed);
   dropout_rng_ = std::make_unique<common::Rng>(rng.NextUint64());
   model_ = std::make_unique<StgnnDjdModel>(flow.num_stations, config_, &rng);

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "autograd/ops.h"
-#include "common/buffer_pool.h"
 #include "common/counters.h"
 #include "common/trace.h"
 #include "nn/loss.h"
@@ -100,7 +99,6 @@ Status OnlineTrainer::WarmStart() {
   input_scale_ = live->input_scale;
   store_capacity_ = window_ + options_.train_window + options_.holdout_slots +
                     horizon_ + options_.replay_slack;
-  common::BufferPool::Global()->SetEnabled(config_.buffer_pool);
   shadow_ = CloneModel(*live->model);
   baseline_ = CloneModel(*live->model);
   baseline_version_ = live->version;

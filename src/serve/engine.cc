@@ -60,58 +60,43 @@ Result<EngineOutput> LocalEngine::Execute(int slot) {
     STGNN_COUNTER_INC("serve.quantized_batches");
   }
 
-  // One forward serves the whole micro-batch. Denormalize inside the
-  // execution section keeps the op order identical to the direct
-  // StgnnDjdPredictor::PredictHorizon path (Forward -> Denormalize ->
-  // Relu), so served rows are bitwise equal to the offline path.
-  //
-  // With the snapshot's serve_cache on, the cold prefix (window assembly,
-  // embeddings, FCG) is memoised per (slot, version) and repeat batches
-  // replay only the head; the staged ops are the same ops Forward runs, so
-  // both paths produce bitwise-equal rows.
+  // One forward serves the whole micro-batch. The cold prefix (window
+  // assembly, embeddings, FCG) is memoised per (slot, version) and repeat
+  // batches replay only the head; the staged ops are the same ops Forward
+  // runs, and Denormalize inside the execution section keeps the op order
+  // identical to the direct StgnnDjdPredictor::PredictHorizon path
+  // (Forward -> Denormalize -> Relu), so served rows are bitwise equal to
+  // the offline path.
   EngineOutput output;
   output.model_version = snapshot->version;
-  Tensor full;
-  if (snapshot->config.serve_cache) {
-    std::shared_ptr<const SlotCacheEntry> cached =
-        cache_.Lookup(slot, snapshot->version);
-    if (cached == nullptr) {
-      Result<data::StHistory> history = ring_->History(slot);
-      if (!history.ok()) return history.status();
-      auto fresh = std::make_shared<SlotCacheEntry>();
-      fresh->slot = slot;
-      fresh->model_version = snapshot->version;
-      fresh->history = std::move(*history);
-      {
-        std::lock_guard<std::mutex> exec_lock(exec_mu_);
-        fresh->embeddings = snapshot->model->ComputeEmbeddings(fresh->history);
-        if (snapshot->model->uses_fcg()) {
-          fresh->graph = snapshot->model->BuildGraph(fresh->embeddings);
-          fresh->has_graph = true;
-        }
-      }
-      output.assembled = true;
-      // May be refused if the ring overwrote the slot meanwhile; this
-      // batch still serves from the local copy.
-      cache_.Insert(fresh);
-      cached = std::move(fresh);
-    }
-    STGNN_TRACE_SCOPE("Serve.Forward");
-    std::lock_guard<std::mutex> exec_lock(exec_mu_);
-    const Tensor out = snapshot->model->ForwardFromStages(
-        cached->embeddings, cached->has_graph ? &cached->graph : nullptr);
-    full = snapshot->normalizer.Denormalize(out);
-  } else {
+  std::shared_ptr<const SlotCacheEntry> cached =
+      cache_.Lookup(slot, snapshot->version);
+  if (cached == nullptr) {
     Result<data::StHistory> history = ring_->History(slot);
     if (!history.ok()) return history.status();
+    auto fresh = std::make_shared<SlotCacheEntry>();
+    fresh->slot = slot;
+    fresh->model_version = snapshot->version;
+    fresh->history = std::move(*history);
+    {
+      std::lock_guard<std::mutex> exec_lock(exec_mu_);
+      fresh->embeddings = snapshot->model->ComputeEmbeddings(fresh->history);
+      if (snapshot->model->uses_fcg()) {
+        fresh->graph = snapshot->model->BuildGraph(fresh->embeddings);
+        fresh->has_graph = true;
+      }
+    }
     output.assembled = true;
-    STGNN_TRACE_SCOPE("Serve.Forward");
-    std::lock_guard<std::mutex> exec_lock(exec_mu_);
-    const autograd::Variable out =
-        snapshot->model->Forward(*history, /*training=*/false, nullptr);
-    full = snapshot->normalizer.Denormalize(out.value());
+    // May be refused if the ring overwrote the slot meanwhile; this
+    // batch still serves from the local copy.
+    cache_.Insert(fresh);
+    cached = std::move(fresh);
   }
-  output.rows = tensor::Relu(full);
+  STGNN_TRACE_SCOPE("Serve.Forward");
+  std::lock_guard<std::mutex> exec_lock(exec_mu_);
+  const Tensor out = snapshot->model->ForwardFromStages(
+      cached->embeddings, cached->has_graph ? &cached->graph : nullptr);
+  output.rows = tensor::Relu(snapshot->normalizer.Denormalize(out));
   return output;
 }
 

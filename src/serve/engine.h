@@ -30,9 +30,7 @@ struct EngineOutput {
 // stats — and delegates "turn a slot into prediction rows" to an engine.
 // LocalEngine computes every station in-process; ShardEngine computes only
 // its owned rows from a halo-exchanged slot context. Splitting here is what
-// lets the fan-out router treat a shard exactly like a whole city, and is
-// the seam a socket transport would replace (the engine is the server side
-// of such a transport; the service keeps working unchanged).
+// lets the fan-out router treat a shard exactly like a whole city.
 //
 // Execute must be thread-safe; engines serialise internally where needed.
 class InferenceEngine {
@@ -55,10 +53,9 @@ class InferenceEngine {
   virtual const SlotCacheStats& cache_stats() const = 0;
 };
 
-// The unsharded engine: the model-execution path PredictionService ran
-// inline before the engine/transport split, verbatim. Owns the serving
-// SlotCache (registered as the ring's advance listener — at most one
-// LocalEngine or service per FeatureRing) and the execution lock.
+// The unsharded engine: one staged, slot-cached execution path. Owns the
+// serving SlotCache (registered as the ring's advance listener — at most
+// one LocalEngine or service per FeatureRing) and the execution lock.
 class LocalEngine : public InferenceEngine {
  public:
   // `registry` and `ring` are caller-owned and must outlive the engine.

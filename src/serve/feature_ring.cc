@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -11,6 +12,32 @@
 namespace stgnn::serve {
 
 using tensor::Tensor;
+
+namespace {
+
+// Non-short-circuit `&` so the counting loop below vectorises.
+bool ValidFlow(float v) {
+  return (v >= 0.0f) & (v <= std::numeric_limits<float>::max());
+}
+
+// Index of the first NaN, infinite or negative entry, or -1. Every ring of
+// a fleet scans the full [n, n] input on each push, so blocks are first
+// counted branch-free (vectorisable) and only a failing block is rescanned.
+int64_t FirstInvalidFlow(const std::vector<float>& flows) {
+  constexpr size_t kBlock = 1024;
+  for (size_t begin = 0; begin < flows.size(); begin += kBlock) {
+    const size_t end = std::min(flows.size(), begin + kBlock);
+    int valid = 0;
+    for (size_t i = begin; i < end; ++i) valid += ValidFlow(flows[i]);
+    if (valid == static_cast<int>(end - begin)) continue;
+    for (size_t i = begin; i < end; ++i) {
+      if (!ValidFlow(flows[i])) return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+}  // namespace
 
 FeatureRing::FeatureRing(int num_stations, int short_term_slots,
                          int long_term_days, int slots_per_day, float scale,
@@ -51,6 +78,21 @@ Status FeatureRing::Push(int slot, const Tensor& inflow,
         std::to_string(n) + "] flow matrices, got inflow " +
         tensor::ShapeToString(inflow.shape()) + " outflow " +
         tensor::ShapeToString(outflow.shape()));
+  }
+  // Flows are counts: a NaN, an infinity or a negative entry would flow
+  // into served rows and the online trainer's Adam moments, so the whole
+  // input is refused before anything is written. Every ring of a fleet
+  // checks the full matrices, so all shards agree on the refusal.
+  for (const Tensor* m : {&inflow, &outflow}) {
+    const int64_t i = FirstInvalidFlow(m->data());
+    if (i < 0) continue;
+    STGNN_COUNTER_INC("serve.ingest_rejected");
+    return Status::InvalidArgument(
+        std::string("FeatureRing::Push: ") +
+        (m == &inflow ? "inflow" : "outflow") + "[" + std::to_string(i / n) +
+        ", " + std::to_string(i % n) + "] = " + std::to_string(m->flat(i)) +
+        " of slot " + std::to_string(slot) +
+        " is not a finite non-negative flow");
   }
   // Phase 1 (reserve): validate the slot and mark the target cell
   // in-flight; the expensive scaled copy then runs unlocked.

@@ -98,8 +98,10 @@ class FeatureRing {
   //  - FailedPrecondition: `slot` was already ingested (its rows are live
   //    or already overwritten — re-ingest would rewrite served history), or
   //    another Push is still in flight;
-  //  - InvalidArgument: `slot` is ahead of the frontier (a gap), or the
-  //    matrices have the wrong shape.
+  //  - InvalidArgument: `slot` is ahead of the frontier (a gap), the
+  //    matrices have the wrong shape, or an entry is NaN, infinite or
+  //    negative (the message names the first such (row, col, value); the
+  //    push is counted in serve.ingest_rejected and writes nothing).
   Status Push(int slot, const tensor::Tensor& inflow,
               const tensor::Tensor& outflow);
 

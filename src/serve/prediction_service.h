@@ -113,10 +113,9 @@ struct ServiceStats {
 //
 // Engines: the two-argument constructor wraps the given (registry, ring)
 // in an owned LocalEngine — the unsharded single-process service, whose
-// slot cache memoises the cold prefix per (slot, snapshot version) when
-// the live snapshot's config has serve_cache set (the default;
-// STGNN_SERVE_CACHE=0 flips it); cached and cold paths are bit-identical
-// (pinned by tests/serve_cache_test.cc). The engine constructor serves any
+// slot cache memoises the cold prefix per (slot, snapshot version); served
+// rows are bit-identical to the direct forward (pinned by
+// tests/serve_cache_test.cc). The engine constructor serves any
 // InferenceEngine — the sharded fleet runs one service per ShardEngine, so
 // each shard keeps its own queue, batching, and shedding. Requests naming
 // stations the engine does not serve fail typed; empty-station requests
@@ -155,8 +154,7 @@ class PredictionService {
   const LatencyHistogram& latency_histogram() const { return latency_; }
   const ServiceOptions& options() const { return options_; }
   const InferenceEngine& engine() const { return *engine_; }
-  // Hit/miss/invalidation counts of the engine's slot cache (zeros while
-  // the live snapshot has serve_cache off — the cache is never consulted).
+  // Hit/miss/invalidation counts of the engine's slot cache.
   const SlotCacheStats& cache_stats() const { return engine_->cache_stats(); }
 
  private:

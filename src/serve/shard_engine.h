@@ -17,7 +17,6 @@
 #include "serve/feature_ring.h"
 #include "serve/model_registry.h"
 #include "serve/slot_cache.h"
-#include "serve/transport.h"
 #include "tensor/tensor.h"
 
 namespace stgnn::serve {
@@ -53,15 +52,15 @@ struct ShardSlotContext {
   // over — pre-wrapped as constant leaves, shared across replays.
   std::vector<core::PcgLayerHaloVars> pcg_halo;
   // Distinct remote in-neighbour stations of this shard's FCG rows — the
-  // rows a row-sliced transport would actually ship.
+  // rows this shard receives from the others in the halo exchange.
   int64_t halo_rows = 0;
 };
 
 // The shard-side engine: serves the prediction rows of its owned stations
 // from a halo-exchanged slot context. Implements both halves of the split —
 // InferenceEngine towards its PredictionService (per-batch owned-row
-// replay) and ShardChannel towards the coordinator (the build rounds that
-// construct contexts, see transport.h).
+// replay) and the build rounds the coordinator (ShardFleet::EnsureContext)
+// drives to construct contexts.
 //
 // Sharding contract: `ring` must be the owned-rows ring of exactly
 // `partition.owned[shard]`; requests for other stations fail typed at the
@@ -75,7 +74,7 @@ struct ShardSlotContext {
 // version", an Execute with no context for the live (slot, version) fails
 // with "no shard context" — both markers the router retries on, so a
 // hot-swap mid-build converges instead of serving torn rows.
-class ShardEngine : public InferenceEngine, public ShardChannel {
+class ShardEngine : public InferenceEngine {
  public:
   // All pointers caller-owned and must outlive the engine. `registry` and
   // `ring` are this shard's; the partition is shared fleet-wide.
@@ -95,27 +94,44 @@ class ShardEngine : public InferenceEngine, public ShardChannel {
   Result<EngineOutput> Execute(int slot) override;
   const SlotCacheStats& cache_stats() const override { return cache_.stats(); }
 
-  // ShardChannel.
-  uint64_t CurrentVersion() const override {
-    return registry_->current_version();
-  }
-  int NextSlot() const override { return ring_->next_slot(); }
-  bool HasContext(int slot, uint64_t version) override {
+  // Build rounds. Each round exports the shard's rows of one stage; the
+  // coordinator scatters the exports into full matrices and hands them back
+  // as the next round's halo. Every round names the model version it is
+  // building for: a shard whose registry has moved past that version
+  // refuses with a typed FailedPrecondition containing "stale shard
+  // version", and the coordinator restarts the build at the new version
+  // (the router retries on top). Rounds are serialised per shard.
+
+  // True when the shard already holds a finished context for (slot,
+  // version) — the coordinator's fast path skips the build rounds. Counts
+  // a hit or a miss in the shard's cache stats, so a hot-swap shows up as
+  // exactly one miss per shard (the probe that triggers the rebuild).
+  bool HasContext(int slot, uint64_t version) {
     return cache_.Probe(slot, version);
   }
-  Result<core::ShardConvRows> ConvRows(int slot, uint64_t version) override;
+  // Round 1: the shard's rows of the four 1x1-conv outputs, computed from
+  // its own ring rows. Starts (or joins) the build for (slot, version).
+  Result<core::ShardConvRows> ConvRows(int slot, uint64_t version);
+  // Round 2: the shard's rows of the fused temporal matrices and node
+  // features, from the assembled full conv matrices.
   Result<core::ShardFusedRows> FuseRows(
       int slot, uint64_t version, const tensor::Tensor& inflow_short_full,
       const tensor::Tensor& outflow_short_full,
       const tensor::Tensor& inflow_long_full,
-      const tensor::Tensor& outflow_long_full) override;
+      const tensor::Tensor& outflow_long_full);
+  // Round 3: derives the slot's full FCG locally from the assembled
+  // embeddings (deterministic — every shard builds the identical graph),
+  // prepares the FCG replay plan, and returns the exports for the first
+  // attention layer.
   Result<core::PcgHeadExports> BuildLocal(
       int slot, uint64_t version, const tensor::Tensor& temporal_inflow_full,
       const tensor::Tensor& temporal_outflow_full,
-      const tensor::Tensor& node_features_full) override;
+      const tensor::Tensor& node_features_full);
+  // Rounds 4..3+L: stores attention layer `layer`'s assembled halo in the
+  // building context and returns the exports for layer+1. The last layer
+  // finalises the context into the slot cache and returns empty exports.
   Result<core::PcgHeadExports> PcgLayer(int slot, uint64_t version, int layer,
-                                        const core::PcgLayerHalo& halo)
-      override;
+                                        const core::PcgLayerHalo& halo);
 
   int shard() const { return shard_; }
   const std::vector<int>& owned() const { return owned_; }

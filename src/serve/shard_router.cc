@@ -19,6 +19,13 @@ bool IsVersionRace(const Status& status) {
          status.message().find("no shard context") != std::string::npos;
 }
 
+// Errors a "latest" request resolves by re-resolving the frontier: ingest
+// overwrote (or is overwriting) the resolved slot's history while the
+// request was in flight.
+bool IsFrontierRace(const Status& status) {
+  return status.message().find("overwrit") != std::string::npos;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -32,8 +39,6 @@ ShardFleet::ShardFleet(const graph::Partition& partition, int short_term_slots,
   STGNN_CHECK_EQ(static_cast<int>(partition_.owned.size()),
                  partition_.num_shards);
   shards_.reserve(partition_.num_shards);
-  std::vector<ShardChannel*> channels;
-  channels.reserve(partition_.num_shards);
   for (int s = 0; s < partition_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->registry = std::make_unique<ModelRegistry>();
@@ -45,10 +50,8 @@ ShardFleet::ShardFleet(const graph::Partition& partition, int short_term_slots,
         options.cache_capacity);
     shard->service = std::make_unique<PredictionService>(shard->engine.get(),
                                                          options.service);
-    channels.push_back(shard->engine.get());
     shards_.push_back(std::move(shard));
   }
-  transport_ = std::make_unique<InProcessTransport>(std::move(channels));
 }
 
 ShardFleet::~ShardFleet() { Stop(); }
@@ -105,8 +108,8 @@ Status ShardFleet::EnsureContext(int slot, uint64_t version) {
   // hit/miss, so a swap is observable as one miss per shard, not just on
   // the first shard the coordinator happened to ask.
   bool all = true;
-  for (int s = 0; s < transport_->num_shards(); ++s) {
-    if (!transport_->channel(s)->HasContext(slot, version)) all = false;
+  for (int s = 0; s < num_shards(); ++s) {
+    if (!shards_[s]->engine->HasContext(slot, version)) all = false;
   }
   if (all) return Status::OK();
 
@@ -137,7 +140,7 @@ Status ShardFleet::EnsureContext(int slot, uint64_t version) {
 }
 
 Status ShardFleet::BuildContexts(int slot, uint64_t version) {
-  const int k = transport_->num_shards();
+  const int k = num_shards();
   const int n = partition_.num_stations;
 
   // Round 1: per-shard conv rows -> assembled full conv matrices.
@@ -147,7 +150,7 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   Tensor ol_full({n, n});
   for (int s = 0; s < k; ++s) {
     Result<core::ShardConvRows> conv =
-        transport_->channel(s)->ConvRows(slot, version);
+        shards_[s]->engine->ConvRows(slot, version);
     if (!conv.ok()) return conv.status();
     const std::vector<int>& owned = partition_.owned[s];
     core::ScatterRows((*conv).inflow_short, owned, &is_full);
@@ -161,7 +164,7 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   Tensor ohat_full({n, n});
   Tensor t_full;
   for (int s = 0; s < k; ++s) {
-    Result<core::ShardFusedRows> fused = transport_->channel(s)->FuseRows(
+    Result<core::ShardFusedRows> fused = shards_[s]->engine->FuseRows(
         slot, version, is_full, os_full, il_full, ol_full);
     if (!fused.ok()) return fused.status();
     if (t_full.ndim() == 0) {
@@ -177,7 +180,7 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
   // Round 3: local graph + FCG plan; first attention layer's exports.
   std::vector<core::PcgHeadExports> exports(k);
   for (int s = 0; s < k; ++s) {
-    Result<core::PcgHeadExports> built = transport_->channel(s)->BuildLocal(
+    Result<core::PcgHeadExports> built = shards_[s]->engine->BuildLocal(
         slot, version, ihat_full, ohat_full, t_full);
     if (!built.ok()) return built.status();
     exports[s] = std::move(*built);
@@ -206,7 +209,7 @@ Status ShardFleet::BuildContexts(int slot, uint64_t version) {
     }
     for (int s = 0; s < k; ++s) {
       Result<core::PcgHeadExports> next =
-          transport_->channel(s)->PcgLayer(slot, version, layer, halo);
+          shards_[s]->engine->PcgLayer(slot, version, layer, halo);
       if (!next.ok()) return next.status();
       exports[s] = std::move(*next);
     }
@@ -351,6 +354,10 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
     }
   }
 
+  const bool latest = request.slot == PredictRequest::kLatestSlot;
+  auto is_race = [latest](const Status& status) {
+    return IsVersionRace(status) || (latest && IsFrontierRace(status));
+  };
   Status last_race = Status::OK();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -361,15 +368,13 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
     if (version == 0) {
       return fail(Status::FailedPrecondition("no model published"));
     }
-    const int slot = request.slot == PredictRequest::kLatestSlot
-                         ? fleet_->next_slot()
-                         : request.slot;
+    const int slot = latest ? fleet_->next_slot() : request.slot;
 
     {
       STGNN_TRACE_SCOPE("Router.Halo");
       Status ensured = fleet_->EnsureContext(slot, version);
       if (!ensured.ok()) {
-        if (!IsVersionRace(ensured)) return fail(std::move(ensured));
+        if (!is_race(ensured)) return fail(std::move(ensured));
         last_race = std::move(ensured);
         {
           std::lock_guard<std::mutex> lock(mu_);
@@ -436,7 +441,7 @@ PredictResponse ShardRouter::Serve(const PredictRequest& request) {
         return response;
       }
       if (sub.kind == PredictResponse::Kind::kFailed) {
-        if (IsVersionRace(sub.status)) {
+        if (is_race(sub.status)) {
           race = true;
           last_race = sub.status;
         } else {

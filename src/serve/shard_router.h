@@ -16,7 +16,6 @@
 #include "graph/partition.h"
 #include "serve/prediction_service.h"
 #include "serve/shard_engine.h"
-#include "serve/transport.h"
 #include "tensor/tensor.h"
 
 namespace stgnn::serve {
@@ -31,9 +30,9 @@ struct ShardFleetOptions {
 
 // The K-shard serving fleet: per shard, a ModelRegistry + owned-rows
 // FeatureRing + ShardEngine + PredictionService. The fleet is the
-// coordinator side of the halo exchange — EnsureContext drives the build
-// rounds of transport.h against every shard through ShardChannel pointers
-// (in-process today), assembling the full matrices between rounds.
+// coordinator side of the halo exchange — EnsureContext drives the
+// ShardEngine build rounds against every shard, assembling the full
+// matrices between rounds.
 //
 // Ingest fans the same full [n, n] matrices to every shard ring (each
 // stores only its owned rows, so total fleet ring memory equals one
@@ -53,7 +52,9 @@ class ShardFleet {
   void Start();  // starts every shard service
   void Stop();
 
-  // Ingest fan-out; fails on the first shard ring that refuses.
+  // Ingest fan-out; fails on the first shard ring that refuses. Every ring
+  // validates the full matrices, so a poisoned input is refused at shard 0
+  // and no shard advances.
   Status Push(int slot, const tensor::Tensor& inflow,
               const tensor::Tensor& outflow);
 
@@ -82,7 +83,6 @@ class ShardFleet {
   const graph::Partition& partition() const { return partition_; }
   PredictionService* service(int shard) { return shards_[shard]->service.get(); }
   ShardEngine* engine(int shard) { return shards_[shard]->engine.get(); }
-  const ShardTransport& transport() const { return *transport_; }
 
  private:
   struct Shard {
@@ -97,7 +97,6 @@ class ShardFleet {
 
   const graph::Partition partition_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<InProcessTransport> transport_;
 
   // Build-once latch per (slot, version): the first caller runs the rounds,
   // the rest wait on its outcome.
@@ -123,7 +122,8 @@ struct RouterStats {
   int64_t fanouts = 0;
   int64_t merges = 0;
   // Fan-outs discarded because sub-responses spanned a hot-swap (mixed
-  // versions) or a shard refused with a stale/missing context.
+  // versions), a shard refused with a stale/missing context, or ingest
+  // overwrote the slot a "latest" request had resolved to.
   int64_t version_rejects = 0;
   int64_t retries = 0;
 };

@@ -17,10 +17,6 @@
 // point); the integer accumulation is exact, so the quantized product is
 // bitwise identical across ISAs — its *accuracy* vs fp32 is what the
 // RMSE-delta regression in tests/quantize_test.cc gates.
-//
-// bf16: round-to-nearest-even truncation of each weight to 16 bits;
-// matmuls dequantise into a pooled fp32 buffer and run the normal kernels
-// (O(k*n) dequant amortised against the O(m*k*n) product).
 
 namespace stgnn::tensor {
 
@@ -32,37 +28,14 @@ struct QuantizedTensor {
   std::vector<int32_t> col_sums;  // [n], sum_p q8(p, j) for the zero-point
 };
 
-struct Bf16Tensor {
-  int rows = 0;
-  int cols = 0;
-  std::vector<uint16_t> data;  // row-major [rows, cols]
-};
-
-// Round-to-nearest-even bf16 conversion of a finite float.
-uint16_t Bf16FromFloat(float x);
-inline float Bf16ToFloat(uint16_t b) {
-  union {
-    uint32_t u;
-    float f;
-  } bits;
-  bits.u = static_cast<uint32_t>(b) << 16;
-  return bits.f;
-}
-
 // Per-tensor symmetric int8 quantisation of a 2-D weight.
 QuantizedTensor QuantizeInt8(const Tensor& w);
 // Dense fp32 reconstruction (tests and round-trip bounds).
 Tensor DequantizeInt8(const QuantizedTensor& q);
 
-Bf16Tensor QuantizeBf16(const Tensor& w);
-Tensor DequantizeBf16(const Bf16Tensor& q);
-
 // out = a (fp32 [m, k]) x b (int8 [k, n]) with on-the-fly per-row
 // activation quantisation, through the dispatched qgemm kernel.
 Tensor QuantizedMatMul(const Tensor& a, const QuantizedTensor& b);
-
-// out = a x dequantise(b) through the normal fp32 MatMul.
-Tensor Bf16MatMul(const Tensor& a, const Bf16Tensor& b);
 
 }  // namespace stgnn::tensor
 

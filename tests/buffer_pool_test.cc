@@ -10,7 +10,6 @@
 //    and 7 kernel threads, produces bit-identical evaluation metrics.
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -142,19 +141,6 @@ TEST(BufferPool, DisabledBypassesAndFrees) {
   EXPECT_EQ(after.bypasses - before.bypasses, 2);
   EXPECT_EQ(after.hits - before.hits, 0);
   pool->SetEnabled(true);
-}
-
-TEST(BufferPool, EnvKnobParsing) {
-  ASSERT_EQ(setenv("STGNN_BUFFER_POOL", "0", 1), 0);
-  EXPECT_FALSE(common::BufferPoolEnabledFromEnv());
-  ASSERT_EQ(setenv("STGNN_BUFFER_POOL", "false", 1), 0);
-  EXPECT_FALSE(common::BufferPoolEnabledFromEnv());
-  ASSERT_EQ(setenv("STGNN_BUFFER_POOL", "off", 1), 0);
-  EXPECT_FALSE(common::BufferPoolEnabledFromEnv());
-  ASSERT_EQ(setenv("STGNN_BUFFER_POOL", "1", 1), 0);
-  EXPECT_TRUE(common::BufferPoolEnabledFromEnv());
-  ASSERT_EQ(unsetenv("STGNN_BUFFER_POOL"), 0);
-  EXPECT_TRUE(common::BufferPoolEnabledFromEnv());
 }
 
 TEST(BufferPool, TensorDestructionRecyclesIntoNextTensor) {
@@ -325,6 +311,7 @@ const data::FlowDataset& MiniFlow() {
 }
 
 eval::Metrics TrainMiniModel(bool pooled, int threads) {
+  BufferPool::Global()->SetEnabled(pooled);
   core::StgnnConfig config;
   config.short_term_slots = 6;
   config.long_term_days = 2;
@@ -336,7 +323,6 @@ eval::Metrics TrainMiniModel(bool pooled, int threads) {
   config.max_samples_per_epoch = 24;
   config.seed = 5;
   config.num_threads = threads;
-  config.buffer_pool = pooled;
   core::StgnnDjdPredictor model(config);
   model.Train(MiniFlow());
   eval::EvalWindow window;

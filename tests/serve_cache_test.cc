@@ -1,8 +1,8 @@
 // Serving slot-cache battery: cold-vs-cached bitwise parity across ring
 // wraparounds and hot-swaps at 1/2/7 workers, the steady-state
-// zero-reassembly regression, stale-slot invalidation semantics, the
-// cache-off pure-perf-knob guarantee, and a concurrent push / hot-swap /
-// predict fault-injection run. Runs under TSAN in CI.
+// zero-reassembly regression, stale-slot invalidation semantics, one
+// assembly per (slot, version) across a hot-swap, and a concurrent push /
+// hot-swap / predict fault-injection run. Runs under TSAN in CI.
 
 #include <cstdint>
 #include <future>
@@ -96,7 +96,7 @@ void ExpectBitEqual(const Tensor& got, const Tensor& want) {
 }
 
 struct CacheHarness {
-  explicit CacheHarness(ServiceOptions options, bool serve_cache = true)
+  explicit CacheHarness(ServiceOptions options)
       : flow(MakeFlow()),
         config(TestConfig()),
         scale(1.0f / flow.max_train_flow),
@@ -106,7 +106,6 @@ struct CacheHarness {
              config.long_term_days, flow.slots_per_day, scale),
         model(MakeModel(flow.num_stations, config, 5)),
         service(&registry, &ring, options) {
-    config.serve_cache = serve_cache;
     const int frontier = ring.first_predictable_slot() + 4;
     for (int t = 0; t < frontier; ++t) {
       const Status st = ring.Push(t, flow.inflow[t], flow.outflow[t]);
@@ -228,33 +227,39 @@ TEST(SlotCacheServingTest, SteadyStateSecondBatchDoesZeroReassembly) {
   EXPECT_EQ(cache.hits.load(), static_cast<uint64_t>(kBatches - 1));
 }
 
-// serve_cache=false is a pure perf knob: identical bits, every batch
-// assembles, and the cache is never consulted.
-TEST(SlotCacheServingTest, CacheOffIsBitIdenticalAndNeverConsulted) {
-  CacheHarness on({.num_workers = 1, .max_batch = 4, .max_queue = 64},
-                  /*serve_cache=*/true);
-  CacheHarness off({.num_workers = 1, .max_batch = 4, .max_queue = 64},
-                   /*serve_cache=*/false);
-  on.PublishModel();
-  off.PublishModel();
-  on.service.Start();
-  off.service.Start();
-  for (int i = 0; i < 3; ++i) {
-    PredictResponse a = on.service.Predict({});
-    PredictResponse b = off.service.Predict({});
-    ASSERT_TRUE(a.ok()) << a.status.ToString();
-    ASSERT_TRUE(b.ok()) << b.status.ToString();
-    ExpectBitEqual(a.predictions, b.predictions);
+// Every served batch is bitwise the direct Forward -> Denormalize -> Relu
+// rows, before and after a hot-swap, and each version assembles the slot
+// exactly once: repeat batches replay the cached prefix.
+TEST(SlotCacheServingTest, ServedBatchesMatchDirectAndAssembleOncePerVersion) {
+  CacheHarness h({.num_workers = 1, .max_batch = 4, .max_queue = 64});
+  const auto model_b = MakeModel(h.flow.num_stations, h.config, 77);
+  const int frontier = h.ring.next_slot();
+  h.PublishModel();  // v1 = A
+  h.service.Start();
+  for (uint64_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    if (version == 2) {
+      h.registry.Publish(ModelSnapshot(model_b, h.normalizer, h.scale,
+                                       h.config));  // v2 = B
+    }
+    const Tensor expected =
+        h.Expected(version == 1 ? *h.model : *model_b, frontier);
+    for (int i = 0; i < 3; ++i) {
+      PredictResponse response = h.service.Predict({});
+      ASSERT_TRUE(response.ok()) << response.status.ToString();
+      EXPECT_EQ(response.model_version, version);
+      ExpectBitEqual(response.predictions, expected);
+    }
+    EXPECT_EQ(h.service.stats().assemblies, static_cast<int64_t>(version));
   }
-  EXPECT_EQ(off.service.stats().assemblies, 3);  // no memoisation
-  EXPECT_EQ(on.service.stats().assemblies, 1);
-  const SlotCache::Stats& cache = off.service.cache_stats();
-  EXPECT_EQ(cache.hits.load() + cache.misses.load(), 0u);
+  const SlotCache::Stats& cache = h.service.cache_stats();
+  EXPECT_EQ(cache.misses.load(), 2u);
+  EXPECT_EQ(cache.hits.load(), 4u);
 }
 
 // Once the ring overwrites a slot's history, the cached entry for it must
-// be invalidated — a request for that slot fails typed exactly like the
-// cache-off path would, never serving stale rows from the cache.
+// be invalidated — a request for that slot fails typed exactly like a
+// cold assembly would, never serving stale rows from the cache.
 TEST(SlotCacheServingTest, StaleSlotFailsTypedAfterInvalidation) {
   CacheHarness h({.num_workers = 1, .max_batch = 4, .max_queue = 64});
   h.PublishModel();

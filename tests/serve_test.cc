@@ -2,15 +2,18 @@
 // typed insufficient-history errors, latency histogram, model registry
 // hot-swap (including the checkpoint path), micro-batched serving that is
 // bit-identical to a direct StgnnDjdModel::Forward at 1/2/7 workers,
-// hot-swap under load with zero dropped or torn requests, and the
-// admission-control / deadline shedding semantics. Runs under TSAN in CI.
+// hot-swap under load with zero dropped or torn requests, refusal of
+// non-finite or negative flows at ingest, and the admission-control /
+// deadline shedding semantics. Runs under TSAN in CI.
 
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "data/window.h"
@@ -470,6 +473,76 @@ TEST(PredictionServiceTest, BatchedServingMatchesDirectForward) {
     EXPECT_GE(stats.batches, 1);
     EXPECT_EQ(h.service.latency_histogram().count(), 16);
   }
+}
+
+// Non-finite and negative flows are refused whole: the push returns
+// InvalidArgument naming the first bad cell, is counted, and writes
+// nothing — the frontier, the retained history and the served rows are
+// those of the clean stream. A clean push of the same slot then serves
+// rows bitwise equal to the direct path.
+TEST(PredictionServiceTest, PoisonedPushIsRefusedAndWritesNothing) {
+  ServingHarness h({.num_workers = 1, .max_batch = 4, .max_queue = 64});
+  h.PublishModel();
+  h.service.Start();
+  const int frontier = h.ring.next_slot();
+  const int min_servable = h.ring.min_servable_slot();
+  const Tensor served = h.Expected(frontier);
+  PredictResponse before = h.service.Predict({});
+  ASSERT_TRUE(before.ok()) << before.status.ToString();
+#if defined(STGNN_TRACING_ENABLED)
+  common::counters::Counter* rejected =
+      common::counters::FindOrCreate("serve.ingest_rejected");
+  const int64_t rejected_before = rejected->value();
+#endif
+
+  int pushes = 0;
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(), -1.0f}) {
+    for (bool poison_inflow : {true, false}) {
+      SCOPED_TRACE("poison=" + std::to_string(poison) +
+                   (poison_inflow ? " inflow" : " outflow"));
+      Tensor inflow = h.flow.inflow[frontier];
+      Tensor outflow = h.flow.outflow[frontier];
+      (poison_inflow ? inflow : outflow).at(3, 5) = poison;
+      const Status st = h.ring.Push(frontier, inflow, outflow);
+      ++pushes;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.message().find(poison_inflow ? "inflow[3, 5]"
+                                                : "outflow[3, 5]"),
+                std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(h.ring.next_slot(), frontier);
+      EXPECT_EQ(h.ring.min_servable_slot(), min_servable);
+      for (int t = min_servable; t <= frontier; ++t) {
+        const Result<data::StHistory> history = h.ring.History(t);
+        ASSERT_TRUE(history.ok()) << history.status().ToString();
+        const data::StHistory direct = data::BuildStHistory(
+            h.flow, t, h.config.short_term_slots, h.config.long_term_days,
+            h.scale);
+        ExpectBitEqual((*history).inflow_short, direct.inflow_short);
+        ExpectBitEqual((*history).outflow_short, direct.outflow_short);
+        ExpectBitEqual((*history).inflow_long, direct.inflow_long);
+        ExpectBitEqual((*history).outflow_long, direct.outflow_long);
+      }
+      PredictResponse response = h.service.Predict({});
+      ASSERT_TRUE(response.ok()) << response.status.ToString();
+      EXPECT_EQ(response.slot, frontier);
+      ExpectBitEqual(response.predictions, served);
+    }
+  }
+#if defined(STGNN_TRACING_ENABLED)
+  EXPECT_EQ(rejected->value() - rejected_before, pushes);
+#endif
+
+  ASSERT_TRUE(h.ring
+                  .Push(frontier, h.flow.inflow[frontier],
+                        h.flow.outflow[frontier])
+                  .ok());
+  PredictResponse next = h.service.Predict({});
+  ASSERT_TRUE(next.ok()) << next.status.ToString();
+  EXPECT_EQ(next.slot, frontier + 1);
+  ExpectBitEqual(next.predictions, h.Expected(frontier + 1));
+  EXPECT_EQ(h.service.stats().failed, 0);
 }
 
 TEST(PredictionServiceTest, HotSwapUnderLoadDropsAndTearsNothing) {

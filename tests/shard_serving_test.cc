@@ -1,17 +1,20 @@
 // Sharded serving battery: cluster-aware partitioning, halo-row counting,
 // sharded-vs-unsharded bitwise parity at 1/2/4 shards across ring
 // wraparounds and worker counts, cluster-local and scattered station-set
-// routing, the sparse-FCG replay path, quantized sharded parity, and
-// hot-swap under load with zero torn (mixed-version) responses. Runs under
-// TSAN in CI.
+// routing, the sparse-FCG replay path, quantized sharded parity, refusal
+// of poisoned ingest by every shard, and hot-swap under load with zero
+// torn (mixed-version) responses. Runs under TSAN in CI.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "core/graph_generator.h"
 #include "data/window.h"
@@ -82,7 +85,6 @@ core::StgnnConfig TestConfig() {
   config.dropout = 0.0f;
   config.horizon = 1;
   config.seed = 5;
-  config.serve_cache = true;
   return config;
 }
 
@@ -326,6 +328,61 @@ TEST(ShardServingTest, QuantizedShardedParity) {
   ASSERT_TRUE(want.ok()) << want.status.ToString();
   ASSERT_TRUE(got.ok()) << got.status.ToString();
   ExpectBitEqual(got.predictions, want.predictions);
+}
+
+// Every shard ring checks the full input, so a poisoned ingest is refused
+// at shard 0 and no shard advances; the clean push of the same slot then
+// serves rows bitwise equal to the unsharded reference.
+TEST(ShardServingTest, PoisonedPushAdvancesNoShard) {
+  ShardHarness h(/*num_shards=*/4, /*service_workers=*/1, TestConfig());
+  h.PublishBoth();
+  h.StartBoth();
+  const int frontier = h.ring.next_slot();
+  ASSERT_EQ(h.fleet.next_slot(), frontier);
+#if defined(STGNN_TRACING_ENABLED)
+  common::counters::Counter* rejected =
+      common::counters::FindOrCreate("serve.ingest_rejected");
+  const int64_t rejected_before = rejected->value();
+#endif
+  int pushes = 0;
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(), -1.0f}) {
+    for (bool poison_inflow : {true, false}) {
+      SCOPED_TRACE("poison=" + std::to_string(poison) +
+                   (poison_inflow ? " inflow" : " outflow"));
+      Tensor inflow = h.flow.inflow[frontier];
+      Tensor outflow = h.flow.outflow[frontier];
+      // A row owned by the last shard: the refusal must not depend on
+      // which shard stores the bad cell.
+      (poison_inflow ? inflow : outflow).at(h.partition.owned.back()[0], 1) =
+          poison;
+      const Status st = h.fleet.Push(frontier, inflow, outflow);
+      ++pushes;
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      for (int s = 0; s < h.fleet.num_shards(); ++s) {
+        EXPECT_EQ(h.fleet.engine(s)->next_slot(), frontier) << "shard " << s;
+      }
+      PredictResponse want = h.reference.Predict({});
+      PredictResponse got = h.router.Predict({});
+      ASSERT_TRUE(want.ok()) << want.status.ToString();
+      ASSERT_TRUE(got.ok()) << got.status.ToString();
+      EXPECT_EQ(got.slot, frontier);
+      ExpectBitEqual(got.predictions, want.predictions);
+    }
+  }
+#if defined(STGNN_TRACING_ENABLED)
+  // Refused once, at shard 0, per poisoned push.
+  EXPECT_EQ(rejected->value() - rejected_before, pushes);
+#endif
+
+  h.PushBoth(frontier);
+  PredictResponse want = h.reference.Predict({});
+  PredictResponse got = h.router.Predict({});
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  EXPECT_EQ(got.slot, frontier + 1);
+  ExpectBitEqual(got.predictions, want.predictions);
+  EXPECT_EQ(h.router.stats().failed, 0);
 }
 
 // Ablated configs can't shard; the router surfaces the shard engine's typed

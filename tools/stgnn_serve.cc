@@ -7,19 +7,18 @@
 // latency (p50/p95/p99 from the always-on serving histogram), and the shed
 // rate to a tracked JSON (BENCH_serve.json).
 //
-// Three runs per n:
+// Two runs per n:
 //   - "saturation": closed-loop with a deep in-flight window, so the queue
 //     is never empty and the service batches as hard as max_batch allows;
 //   - "batch1": the same load against max_batch = 1, the no-batching
-//     baseline the speedup claim is measured against;
-//   - "no_cache": the saturation load with the snapshot's serve_cache off,
-//     the baseline for the slot-cache p50/p99 claim.
+//     baseline the speedup claim is measured against.
 // With --qps the saturation run becomes open-loop (paced submission), which
 // is what the CI smoke uses: a low rate that a healthy service must absorb
-// with zero sheds. The smoke additionally runs the load with the cache on
-// AND off and hard-fails if the order-independent prediction checksums
-// differ (the cached path must be bit-identical) or if the cache-on run's
-// hit rate falls below (batches - workers) / batches.
+// with zero sheds. The smoke hard-fails if the order-independent checksum
+// of the served rows differs from the same checksum over the direct
+// Forward -> Denormalize -> Relu rows of the same slots (the served path
+// must be bit-identical), or if the run's slot-cache hit rate falls below
+// (batches - workers) / batches.
 //
 // --shards K1,K2,... adds the sharded sweep: per --shard-n size (default
 // the 1024/4096 ServingScale cities) it builds a ShardFleet + ShardRouter
@@ -51,11 +50,13 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "autograd/inference_precision.h"
 #include "common/counters.h"
 #include "common/cpuid.h"
 #include "common/rng.h"
@@ -65,6 +66,7 @@
 #include "core/stgnn_djd.h"
 #include "data/city_simulator.h"
 #include "data/flow_dataset.h"
+#include "data/window.h"
 #include "graph/partition.h"
 #include "serve/feature_ring.h"
 #include "serve/model_registry.h"
@@ -109,10 +111,12 @@ struct RunResult {
   double p50_us = 0.0;
   double p95_us = 0.0;
   double p99_us = 0.0;
-  bool serve_cache = true;
   // Order-independent FNV-1a digest over every served (slot, prediction
-  // bits) pair: cache-on and cache-off runs of the same load must agree.
+  // bits) pair.
   uint64_t checksum = 0;
+  // Full-city runs only: the same digest over the direct (non-serving)
+  // rows of every served slot; must equal `checksum`.
+  uint64_t reference_checksum = 0;
   // Sharded runs only: effective shard count (0 = unsharded service) and
   // the router/halo tallies of the run.
   int shards = 0;
@@ -137,14 +141,13 @@ struct RunResult {
 // FNV-1a over the resolved slot and the raw float bits of the prediction
 // rows. Summed (wrapping) across responses so the digest is independent of
 // completion order — concurrent workers finish batches in any order.
-uint64_t ResponseDigest(const serve::PredictResponse& response) {
+uint64_t RowsDigest(int slot, const tensor::Tensor& p) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(static_cast<uint64_t>(response.slot));
-  const tensor::Tensor& p = response.predictions;
+  mix(static_cast<uint64_t>(slot));
   for (int64_t i = 0; i < p.size(); ++i) {
     const float value = p.flat(i);
     uint32_t bits;
@@ -152,6 +155,10 @@ uint64_t ResponseDigest(const serve::PredictResponse& response) {
     mix(bits);
   }
   return h;
+}
+
+uint64_t ResponseDigest(const serve::PredictResponse& response) {
+  return RowsDigest(response.slot, response.predictions);
 }
 
 // The serving fixture for one graph size: simulated city, ring warmed with
@@ -219,26 +226,35 @@ struct Fixture {
         data::MinMaxNormalizer::Fit(flow->demand, flow->supply,
                                     flow->train_end));
     input_scale = scale;
-    Publish(/*serve_cache=*/true);
+    registry.Publish(MakeSnapshot());
   }
 
-  // Republishes the same weights with the slot cache toggled — the knob
-  // lives in the snapshot's config, so a hot-swap flips it. When the
-  // config asks for a reduced inference precision (STGNN_INFER_PRECISION),
-  // the snapshot carries quantized weights and the service serves through
-  // the quantized path.
-  serve::ModelSnapshot MakeSnapshot(bool serve_cache) const {
-    core::StgnnConfig snapshot_config = config;
-    snapshot_config.serve_cache = serve_cache;
-    serve::ModelSnapshot snapshot(model, *normalizer, input_scale,
-                                  snapshot_config);
+  // A snapshot of the fixture's weights. When the config asks for a
+  // reduced inference precision (STGNN_INFER_PRECISION), the snapshot
+  // carries quantized weights and the service serves through the quantized
+  // path.
+  serve::ModelSnapshot MakeSnapshot() const {
+    serve::ModelSnapshot snapshot(model, *normalizer, input_scale, config);
     if (config.infer_precision != tensor::Precision::kFp32) {
       serve::QuantizeSnapshot(&snapshot, config.infer_precision);
     }
     return snapshot;
   }
 
-  void Publish(bool serve_cache) { registry.Publish(MakeSnapshot(serve_cache)); }
+  // The direct (non-serving) full-city rows for `slot` under the live
+  // snapshot: Forward -> Denormalize -> Relu on the offline history
+  // assembly, inside the snapshot's quantization scope — exactly what
+  // StgnnDjdPredictor::PredictHorizon computes.
+  tensor::Tensor DirectRows(int slot) const {
+    const std::shared_ptr<const serve::ModelSnapshot> snapshot =
+        registry.Current();
+    autograd::QuantizedInferenceScope scope(snapshot->quantized.get());
+    const autograd::Variable out = snapshot->model->Forward(
+        data::BuildStHistory(*flow, slot, config.short_term_slots,
+                             config.long_term_days, input_scale),
+        /*training=*/false, nullptr);
+    return tensor::Relu(snapshot->normalizer.Denormalize(out.value()));
+  }
 
   // Replays the warmed slots into a fleet's shard rings (each keeps only
   // its owned rows).
@@ -291,13 +307,15 @@ serve::PredictRequest MixRequest(int i, const Fixture& fixture) {
 // paces submission open-loop; qps == 0 keeps a deep window of futures in
 // flight so the workers always find a full queue (saturation).
 // make_request (when set) supplies each request body — the sharded sweep
-// uses it to replay the same mix un- and sharded.
+// uses it to replay the same mix un- and sharded. Full-city runs (no
+// make_request) also checksum the direct rows of every served slot once
+// the service has stopped (the direct forward shares the model with the
+// workers, so it must not run concurrently with them).
 RunResult Drive(const std::string& mode, Fixture* fixture,
                 const serve::ServiceOptions& service_options, int requests,
-                double qps, bool serve_cache,
+                double qps,
                 const std::function<serve::PredictRequest(int)>& make_request =
                     nullptr) {
-  fixture->Publish(serve_cache);
   serve::PredictionService service(&fixture->registry, fixture->ring.get(),
                                    service_options);
   service.Start();
@@ -308,10 +326,12 @@ RunResult Drive(const std::string& mode, Fixture* fixture,
   int64_t shed = 0;
   int64_t failed = 0;
   uint64_t checksum = 0;
+  std::map<int, uint64_t> served_slots;  // slot -> responses served
   auto account = [&](serve::PredictResponse response) {
     switch (response.kind) {
       case serve::PredictResponse::Kind::kOk:
         checksum += ResponseDigest(response);  // wrapping, order-independent
+        ++served_slots[response.slot];
         break;
       case serve::PredictResponse::Kind::kRejectedQueueFull:
       case serve::PredictResponse::Kind::kRejectedDeadline:
@@ -349,6 +369,12 @@ RunResult Drive(const std::string& mode, Fixture* fixture,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   service.Stop();
+  uint64_t reference_checksum = 0;
+  if (!make_request) {
+    for (const auto& [slot, count] : served_slots) {
+      reference_checksum += count * RowsDigest(slot, fixture->DirectRows(slot));
+    }
+  }
 
   const serve::ServiceStats stats = service.stats();
   const serve::LatencyHistogram& hist = service.latency_histogram();
@@ -371,8 +397,8 @@ RunResult Drive(const std::string& mode, Fixture* fixture,
   result.p50_us = hist.PercentileNs(50) / 1e3;
   result.p95_us = hist.PercentileNs(95) / 1e3;
   result.p99_us = hist.PercentileNs(99) / 1e3;
-  result.serve_cache = serve_cache;
   result.checksum = checksum;
+  result.reference_checksum = reference_checksum;
   result.batches = stats.batches;
   result.assemblies = stats.assemblies;
   const serve::SlotCache::Stats& cache = service.cache_stats();
@@ -508,7 +534,7 @@ int WriteJson(const std::string& path, const Options& options,
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"stgnn-bench-serve-v4\",\n");
+  std::fprintf(f, "  \"schema\": \"stgnn-bench-serve-v5\",\n");
   std::fprintf(f, "  \"hardware_threads\": %d,\n", common::HardwareThreads());
   std::fprintf(f, "  \"isa\": \"%s\",\n",
                common::IsaName(common::ActiveIsa()));
@@ -529,7 +555,7 @@ int WriteJson(const std::string& path, const Options& options,
         "\"throughput_rps\": %.2f, \"mean_batch_size\": %.2f,\n"
         "     \"latency_us\": {\"mean\": %.1f, \"p50\": %.1f, "
         "\"p95\": %.1f, \"p99\": %.1f},\n"
-        "     \"serve_cache\": %s, \"checksum\": \"%016llx\",\n"
+        "     \"checksum\": \"%016llx\",\n"
         "     \"cache\": {\"hits\": %llu, \"misses\": %llu, "
         "\"invalidations\": %llu, \"assemblies\": %lld, "
         "\"hit_rate\": %.3f},\n",
@@ -537,7 +563,7 @@ int WriteJson(const std::string& path, const Options& options,
         static_cast<long long>(r.requests), static_cast<long long>(r.served),
         static_cast<long long>(r.shed), static_cast<long long>(r.failed),
         r.wall_s, r.throughput_rps, r.mean_batch, r.mean_us, r.p50_us,
-        r.p95_us, r.p99_us, r.serve_cache ? "true" : "false",
+        r.p95_us, r.p99_us,
         static_cast<unsigned long long>(r.checksum),
         static_cast<unsigned long long>(r.cache_hits),
         static_cast<unsigned long long>(r.cache_misses),
@@ -571,22 +597,6 @@ int WriteJson(const std::string& path, const Options& options,
           base.throughput_rps > 0.0) {
         std::fprintf(f, "%s\"%d\": %.2f", first ? "" : ", ", r.n,
                      r.throughput_rps / base.throughput_rps);
-        first = false;
-      }
-    }
-  }
-  std::fprintf(f, "},\n");
-  // Slot-cache latency claim: cached saturation vs the no_cache baseline.
-  std::fprintf(f, "  \"cache_latency_speedup\": {");
-  first = true;
-  for (const RunResult& r : runs) {
-    if (r.mode != "saturation" || !r.serve_cache) continue;
-    for (const RunResult& base : runs) {
-      if (base.mode == "no_cache" && base.n == r.n && r.p50_us > 0.0 &&
-          r.p99_us > 0.0) {
-        std::fprintf(f, "%s\"%d\": {\"p50\": %.2f, \"p99\": %.2f}",
-                     first ? "" : ", ", r.n, base.p50_us / r.p50_us,
-                     base.p99_us / r.p99_us);
         first = false;
       }
     }
@@ -632,16 +642,9 @@ int Main(const Options& options) {
     std::fprintf(stderr, "n=%d: %s run (%d requests)...\n", n, mode,
                  options.requests);
     runs.push_back(Drive(mode, &fixture, batched, options.requests,
-                         options.qps, /*serve_cache=*/true));
+                         options.qps));
 
-    if (options.smoke) {
-      // The same paced load with the slot cache off: the checksums of both
-      // runs must agree bit for bit (checked below).
-      std::fprintf(stderr, "n=%d: cache-off run (%d requests)...\n", n,
-                   options.requests);
-      runs.push_back(Drive("no_cache", &fixture, batched, options.requests,
-                           options.qps, /*serve_cache=*/false));
-    } else {
+    if (!options.smoke) {
       // The no-batching baseline: same service, max_batch = 1, fewer
       // requests (each one pays a full forward).
       serve::ServiceOptions single = batched;
@@ -649,14 +652,7 @@ int Main(const Options& options) {
       const int base_requests = std::max(8, options.requests / 12);
       std::fprintf(stderr, "n=%d: batch1 baseline (%d requests)...\n", n,
                    base_requests);
-      runs.push_back(Drive("batch1", &fixture, single, base_requests, 0.0,
-                           /*serve_cache=*/true));
-      // The slot-cache baseline: the saturation load, cold prefix every
-      // batch.
-      std::fprintf(stderr, "n=%d: no_cache baseline (%d requests)...\n", n,
-                   options.requests);
-      runs.push_back(Drive("no_cache", &fixture, batched, options.requests,
-                           options.qps, /*serve_cache=*/false));
+      runs.push_back(Drive("batch1", &fixture, single, base_requests, 0.0));
     }
   }
 
@@ -697,7 +693,7 @@ int Main(const Options& options) {
           fixture.config.long_term_days, fixture.flow->slots_per_day,
           fixture.input_scale, fleet_options);
       fixture.WarmFleet(fleet.get());
-      fleet->Publish(fixture.MakeSnapshot(/*serve_cache=*/true));
+      fleet->Publish(fixture.MakeSnapshot());
       fleets.push_back(std::move(fleet));
     }
     fixture.ReleaseFlow();
@@ -705,7 +701,6 @@ int Main(const Options& options) {
     std::fprintf(stderr, "shard n=%d: unsharded mix baseline (%d requests)...\n",
                  n, requests);
     runs.push_back(Drive("unsharded_mix", &fixture, batched, requests, 0.0,
-                         /*serve_cache=*/true,
                          [&fixture](int i) { return MixRequest(i, fixture); }));
     for (auto& fleet : fleets) {
       std::fprintf(stderr, "shard n=%d: K=%d fleet mix (%d requests)...\n", n,
@@ -720,10 +715,10 @@ int Main(const Options& options) {
 
   for (const RunResult& r : runs) {
     std::fprintf(stderr,
-                 "  %-13s n=%-4d K=%d cache=%s served=%-4lld shed=%-3lld "
+                 "  %-13s n=%-4d K=%d served=%-4lld shed=%-3lld "
                  "throughput=%8.2f req/s mean_batch=%5.2f p50=%.0f us "
                  "p99=%.0f us checksum=%016llx\n",
-                 r.mode.c_str(), r.n, r.shards, r.serve_cache ? "on " : "off",
+                 r.mode.c_str(), r.n, r.shards,
                  static_cast<long long>(r.served),
                  static_cast<long long>(r.shed), r.throughput_rps,
                  r.mean_batch, r.p50_us, r.p99_us,
@@ -767,9 +762,9 @@ int Main(const Options& options) {
   if (options.print_counters) {
     for (const RunResult& r : runs) {
       std::printf(
-          "serve.cache[%s n=%d cache=%s]: hits=%llu misses=%llu "
+          "serve.cache[%s n=%d]: hits=%llu misses=%llu "
           "invalidations=%llu assemblies=%lld batches=%lld hit_rate=%.3f\n",
-          r.mode.c_str(), r.n, r.serve_cache ? "on" : "off",
+          r.mode.c_str(), r.n,
           static_cast<unsigned long long>(r.cache_hits),
           static_cast<unsigned long long>(r.cache_misses),
           static_cast<unsigned long long>(r.cache_invalidations),
@@ -795,29 +790,19 @@ int Main(const Options& options) {
         return 1;
       }
     }
-    // The cache must be invisible in the outputs (bitwise) and effective
-    // in the work: the whole smoke load targets one frontier slot, so the
-    // cache-on run does at most one cold assembly per worker (racing
+    // The served rows must be bitwise the direct path's, and the cache
+    // effective in the work: the whole smoke load targets one frontier
+    // slot, so the run does at most one cold assembly per worker (racing
     // workers may each miss once) and hits everything else.
     for (const RunResult& r : runs) {
-      if (r.mode != "paced" || !r.serve_cache) continue;
-      for (const RunResult& base : runs) {
-        if (base.mode != "no_cache" || base.n != r.n) continue;
-        if (r.checksum != base.checksum) {
-          std::fprintf(stderr,
-                       "smoke FAILED: n=%d cache-on checksum %016llx != "
-                       "cache-off %016llx\n",
-                       r.n, static_cast<unsigned long long>(r.checksum),
-                       static_cast<unsigned long long>(base.checksum));
-          return 1;
-        }
-        if (base.cache_hits + base.cache_misses != 0) {
-          std::fprintf(stderr,
-                       "smoke FAILED: n=%d cache-off run consulted the "
-                       "cache\n",
-                       r.n);
-          return 1;
-        }
+      if (r.mode != "paced") continue;
+      if (r.checksum != r.reference_checksum) {
+        std::fprintf(stderr,
+                     "smoke FAILED: n=%d served checksum %016llx != direct "
+                     "reference %016llx\n",
+                     r.n, static_cast<unsigned long long>(r.checksum),
+                     static_cast<unsigned long long>(r.reference_checksum));
+        return 1;
       }
       const int64_t min_hits = r.batches - options.workers;
       if (static_cast<int64_t>(r.cache_hits) < min_hits ||
@@ -834,8 +819,9 @@ int Main(const Options& options) {
     // When a reduced precision is selected the quantized path must have
     // actually engaged: a snapshot with quantized tensors, bytes saved,
     // and every batch served through the scope. A silent fp32 fallback
-    // would pass every latency/checksum check above, so this is the
-    // liveness gate for the quantized serving path.
+    // would pass every latency/checksum check above (the direct reference
+    // runs under the same scope), so this is the liveness gate for the
+    // quantized serving path.
     const tensor::Precision precision = core::DefaultInferPrecision();
 #if defined(STGNN_TRACING_ENABLED)
     if (precision != tensor::Precision::kFp32) {
@@ -861,7 +847,7 @@ int Main(const Options& options) {
     // Stable per-precision digest for CI to diff: the quantized paths must
     // change prediction bits relative to an fp32 run of the same load.
     for (const RunResult& r : runs) {
-      if (r.mode == "paced" && r.serve_cache) {
+      if (r.mode == "paced") {
         std::printf("SMOKE_CHECKSUM precision=%s isa=%s n=%d value=%016llx\n",
                     tensor::PrecisionName(precision),
                     common::IsaName(common::ActiveIsa()), r.n,
