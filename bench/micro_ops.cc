@@ -10,7 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -62,6 +64,67 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
 }
 BENCHMARK(BM_MatMul)->Apply(MatMulArgs);
+
+// The n=256 serving model's real products, one per shape-dispatch path:
+// label "m x k x n layout", where layout is how the operands are stored —
+// "a.b" (MatMul), "a.bT" (MatMulABt, the dA of a backward pass) or "aT.b"
+// (MatMulAtB, the dB). A local tool for the per-shape table in DESIGN.md
+// §7d, not a gate.
+struct ModelShape {
+  int m, k, n;
+  int layout;  // 0 = a.b, 1 = a.bT, 2 = aT.b
+  const char* what;
+};
+constexpr ModelShape kModelShapes[] = {
+    {1, 8, 65536, 0, "flow-conv forward (Eq. 1-4)"},
+    {1, 65536, 8, 1, "flow-conv weight gradient"},
+    {256, 256, 1, 0, "attention score (Eq. 15)"},
+    {256, 512, 2, 0, "head (Eq. 20)"},
+    {512, 256, 2, 2, "head weight gradient"},
+    {256, 256, 256, 0, "gate / aggregation"},
+    {256, 256, 256, 1, "gate / aggregation dA"},
+    {256, 256, 256, 2, "gate / aggregation dB"},
+};
+
+void BM_MatMulModelShapes(benchmark::State& state) {
+  const ModelShape& s = kModelShapes[state.range(0)];
+  common::SetNumThreads(static_cast<int>(state.range(1)));
+  common::Rng rng(1);
+  const tensor::Shape a_shape =
+      s.layout == 2 ? tensor::Shape{s.k, s.m} : tensor::Shape{s.m, s.k};
+  const tensor::Shape b_shape =
+      s.layout == 1 ? tensor::Shape{s.n, s.k} : tensor::Shape{s.k, s.n};
+  const Tensor a = Tensor::RandomNormal(a_shape, 0, 1, &rng);
+  const Tensor b = Tensor::RandomNormal(b_shape, 0, 1, &rng);
+  for (auto _ : state) {
+    switch (s.layout) {
+      case 0:
+        benchmark::DoNotOptimize(tensor::MatMul(a, b));
+        break;
+      case 1:
+        benchmark::DoNotOptimize(tensor::MatMulABt(a, b));
+        break;
+      default:
+        benchmark::DoNotOptimize(tensor::MatMulAtB(a, b));
+        break;
+    }
+  }
+  static const char* kLayouts[] = {"a.b", "a.bT", "aT.b"};
+  state.SetLabel(std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                 std::to_string(s.n) + " " + kLayouts[s.layout] + " " +
+                 s.what);
+  state.SetItemsProcessed(state.iterations() * int64_t{s.m} * s.k * s.n);
+}
+BENCHMARK(BM_MatMulModelShapes)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int64_t i = 0; i < static_cast<int64_t>(std::size(kModelShapes));
+           ++i) {
+        b->Args({i, 1});
+        const int64_t hw = common::HardwareThreads();
+        if (hw > 1) b->Args({i, hw});
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RowSoftmax(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -336,13 +336,12 @@ Variable MatMul(const Variable& a, const Variable& b) {
     Node* pb = b.node().get();
     node->backward_fn = [self, pa, pb]() {
       STGNN_TRACE_SCOPE("MatMul.bwd");
+      // dA = g·Bᵀ and dB = Aᵀ·g, each operand read as stored.
       if (pa->requires_grad) {
-        pa->AccumulateGrad(
-            tensor::MatMul(self->grad, pb->value.Transpose()));
+        pa->AccumulateGrad(tensor::MatMulABt(self->grad, pb->value));
       }
       if (pb->requires_grad) {
-        pb->AccumulateGrad(
-            tensor::MatMul(pa->value.Transpose(), self->grad));
+        pb->AccumulateGrad(tensor::MatMulAtB(pa->value, self->grad));
       }
     };
   }

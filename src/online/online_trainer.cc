@@ -260,8 +260,18 @@ void OnlineTrainer::TrainStep(int first, int last) {
   // each backward closure finishes, then grad clip + fused Adam run in
   // place on the persistent moment/parameter buffers.
   batch_loss.Backward({.release_graph = true});
-  nn::ClipGradNorm(shadow_->parameters(), config_.grad_clip_norm);
-  adam_->Step();
+  const float norm =
+      nn::ClipGradNorm(shadow_->parameters(), config_.grad_clip_norm);
+  if (std::isfinite(norm)) {
+    adam_->Step();
+  } else {
+    // A NaN or infinite gradient (an absurd but finite ingested flow can
+    // overflow the forward pass) would leave the Adam moments non-finite
+    // for good; skip the update and leave parameters and moments as they
+    // were.
+    ++stats_.nonfinite_steps;
+    STGNN_COUNTER_INC("online.nonfinite_steps");
+  }
   ++total_steps_;
   STGNN_COUNTER_INC("online.steps");
 }

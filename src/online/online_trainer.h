@@ -89,6 +89,9 @@ struct PollResult {
 struct OnlineTrainerStats {
   int64_t rounds = 0;
   int64_t steps = 0;
+  // Steps whose gradient norm was NaN or infinite: the Adam update was
+  // skipped, parameters and moments left untouched. Included in `steps`.
+  int64_t nonfinite_steps = 0;
   int64_t evaluations = 0;
   int64_t swaps = 0;
   int64_t rejected_candidates = 0;

@@ -6,18 +6,19 @@
 #include "common/cpuid.h"
 
 // Runtime-dispatched microkernels for the three dominant compute loops
-// (packed MatMul panels, row-parallel SpMM, fused Adam) plus the int8
-// inference GEMM. One KernelTable per ISA; the active table is selected at
-// runtime from common::ActiveIsa() (STGNN_ISA overridable).
+// (MatMul — packed panels and the unpacked direct product — row-parallel
+// SpMM, fused Adam) plus the int8 inference GEMM. One KernelTable per ISA;
+// the active table is selected at runtime from common::ActiveIsa()
+// (STGNN_ISA overridable).
 //
 // Parity contract — every fp32 variant is bit-identical to the scalar
 // reference:
 //   * All variants accumulate each output element with fused multiply-adds
-//     in the same fixed order (k/p ascending for MatMul, entry order for
-//     SpMM, the written statement order for Adam). The scalar reference
-//     uses std::fmaf (IEEE single-rounding, identical to the hardware
-//     vfmadd lanes) and is compiled with -ffp-contract=off so the compiler
-//     cannot reassociate it.
+//     in the same fixed order (k/p ascending from +0.0f for MatMul — on
+//     every path and operand layout — entry order for SpMM, the written
+//     statement order for Adam). The scalar reference uses std::fmaf (IEEE
+//     single-rounding, identical to the hardware vfmadd lanes) and is
+//     compiled with -ffp-contract=off so the compiler cannot reassociate it.
 //   * Vectorisation is across independent output elements (columns of the
 //     output row, elements of the parameter vector), never across a
 //     reduction, so lane grouping cannot change any element's operation
@@ -42,6 +43,22 @@ namespace stgnn::tensor::kernels {
 inline constexpr int kMmRowTile = 4;
 inline constexpr int kMmPanel = 64;
 
+// Read-only strided view of a MatMul operand: element (r, c) lives at
+// data[r * rs + c * cs]. A row-major [R, C] matrix is {data, C, 1}; its
+// transpose, read in place, is {data, 1, C}. Kernels take operands as views
+// so a transposed operand is consumed where it is stored.
+struct MatView {
+  const float* data;
+  int64_t rs;
+  int64_t cs;
+
+  float at(int64_t r, int64_t c) const { return data[r * rs + c * cs]; }
+  // The view with (r0, c0) as its origin.
+  MatView Offset(int64_t r0, int64_t c0) const {
+    return {data + r0 * rs + c0 * cs, rs, cs};
+  }
+};
+
 // int8 GEMM row tile: the vector variants block 4 output rows so every
 // packed-B load is shared 4 ways. Callers must hand qgemm_rows chunks of
 // at least this many rows or the blocking never engages (the kernel still
@@ -52,14 +69,19 @@ struct KernelTable {
   common::Isa isa;
   const char* name;
 
-  // Plain ikj product for small shapes; accumulates += into a zeroed out.
-  void (*matmul_small)(const float* a, const float* b, float* out, int m,
-                       int k, int n);
+  // Unpacked product of one output block (the small, row-vector and
+  // narrow MatMul paths): out[i * ldo + j] = sum_p a(i, p) * b(p, j) for
+  // i < m, j < n. Overwrites out. The vector variants run across j when b
+  // is contiguous along j (b.cs == 1); otherwise (a transposed B read in
+  // place) each output is its own scalar chain.
+  void (*matmul_direct)(MatView a, MatView b, float* out, int64_t ldo, int m,
+                        int k, int n);
 
   // Rows [row_begin, row_end) of out against one packed panel of B (width
   // `width` columns starting at j0, kMmPanel stride, zero-padded). Stores
-  // full-k accumulators, overwriting out exactly once.
-  void (*matmul_panel_rows)(const float* a, const float* panel, float* out,
+  // full-k accumulators, overwriting out exactly once. `a` may be a
+  // transposed view; its elements are only ever broadcast.
+  void (*matmul_panel_rows)(MatView a, const float* panel, float* out,
                             int64_t row_begin, int64_t row_end, int k, int n,
                             int j0, int width);
 
@@ -94,9 +116,9 @@ struct KernelTable {
                             int64_t row_begin, int64_t row_end, int k,
                             int64_t k4, float b_scale);
 
-  // Below this m*k*n, MatMul takes the small path (no packing).
+  // Below this m*k*n, MatMul takes the small path (direct, one chunk).
   int64_t mm_small_flops;
-  // ParallelFor chunk target (flops) for the packed MatMul row fan-out.
+  // ParallelFor chunk target (flops) for the MatMul row / column fan-out.
   int64_t mm_chunk_flops;
   // common::GrainFor target (ops per chunk) for row-parallel kernels.
   int64_t row_grain_ops;
@@ -105,9 +127,9 @@ struct KernelTable {
 // Scalar reference implementations (std::fmaf, -ffp-contract=off). Vector
 // variants delegate partial tiles / tail columns to these, which keeps the
 // parity argument trivial for every remainder case.
-void ScalarMatMulSmall(const float* a, const float* b, float* out, int m,
-                       int k, int n);
-void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
+void ScalarMatMulDirect(MatView a, MatView b, float* out, int64_t ldo, int m,
+                        int k, int n);
+void ScalarMatMulPanelRows(MatView a, const float* panel, float* out,
                            int64_t row_begin, int64_t row_end, int k, int n,
                            int j0, int width);
 void ScalarSpmmRows(const int* row_ptr, const int* col_idx,

@@ -14,75 +14,123 @@
 #include <cmath>
 #include <cstring>
 
+#include "tensor/kernels/direct_strided.h"
 #include "tensor/kernels/kernels.h"
 
 namespace stgnn::tensor::kernels {
 namespace {
 
-void MatMulSmallAvx2(const float* a, const float* b, float* out, int m,
-                     int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    float* orow = out + static_cast<size_t>(i) * n;
-    const float* arow = a + static_cast<size_t>(i) * k;
-    int j = 0;
-    // Column strips held in registers across the full k extent; element
-    // (i, j) accumulates in ascending p order exactly like the scalar ikj
-    // loop.
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc0 = _mm256_loadu_ps(orow + j);
-      __m256 acc1 = _mm256_loadu_ps(orow + j + 8);
-      for (int p = 0; p < k; ++p) {
-        const __m256 v = _mm256_set1_ps(arow[p]);
-        const float* brow = b + static_cast<size_t>(p) * n + j;
-        acc0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow), acc0);
-        acc1 = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow + 8), acc1);
+// One register tile of the direct product: rows [i0, i0 + R) x columns
+// [j, j + 8 * V), the last vector masked to the `tail` lanes (masked-off
+// lanes load zeros and are never stored). B is contiguous along j; every
+// lane is one output's p-ascending fma chain from +0.0f, exactly the
+// scalar reference's.
+template <int R, int V>
+inline void DirectTileAvx2(MatView a, int64_t i0, MatView b, float* out,
+                           int64_t ldo, int k, int j, __m256i tail) {
+  // The unroll pragmas keep acc in registers: without full unrolling GCC
+  // stores every accumulator back to the stack on each p step.
+  __m256 acc[R][V];
+  const float* arow[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    arow[r] = a.data + (i0 + r) * a.rs;
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  const float* bp = b.data + j;
+  for (int p = 0; p < k; ++p, bp += b.rs) {
+    __m256 bv[V];
+    for (int v = 0; v + 1 < V; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+    bv[V - 1] = _mm256_maskload_ps(bp + 8 * (V - 1), tail);
+    const int64_t off = p * a.cs;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(arow[r][off]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
       }
-      _mm256_storeu_ps(orow + j, acc0);
-      _mm256_storeu_ps(orow + j + 8, acc1);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_loadu_ps(orow + j);
-      for (int p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(
-            _mm256_set1_ps(arow[p]),
-            _mm256_loadu_ps(b + static_cast<size_t>(p) * n + j), acc);
-      }
-      _mm256_storeu_ps(orow + j, acc);
-    }
-    for (; j < n; ++j) {
-      float acc = orow[j];
-      for (int p = 0; p < k; ++p) {
-        acc = std::fmaf(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      orow[j] = acc;
     }
   }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* o = out + (i0 + r) * ldo + j;
+    for (int v = 0; v + 1 < V; ++v) _mm256_storeu_ps(o + 8 * v, acc[r][v]);
+    _mm256_maskstore_ps(o + 8 * (V - 1), tail, acc[r][V - 1]);
+  }
+}
+
+// Lanes [0, lanes) of an 8-lane mask.
+inline __m256i TailMask(int lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Rows [i0, i0 + R) across all n columns: full 16-wide strips, then one
+// masked strip for the tail.
+template <int R>
+void DirectRowsAvx2(MatView a, int64_t i0, MatView b, float* out,
+                    int64_t ldo, int k, int n) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    DirectTileAvx2<R, 2>(a, i0, b, out, ldo, k, j, TailMask(8));
+  }
+  const int w = n - j;
+  if (w > 8) {
+    DirectTileAvx2<R, 2>(a, i0, b, out, ldo, k, j, TailMask(w - 8));
+  } else if (w > 0) {
+    DirectTileAvx2<R, 1>(a, i0, b, out, ldo, k, j, TailMask(w));
+  }
+}
+
+void MatMulDirectAvx2(MatView a, MatView b, float* out, int64_t ldo, int m,
+                      int k, int n) {
+  if (b.cs != 1) {
+    DirectStrided(a, b, out, ldo, m, k, n);
+    return;
+  }
+  // Tiles of eight accumulators — enough independent chains to cover the
+  // fma latency: 8 rows x 8 columns for narrow outputs, else 4 x 16.
+  int64_t i = 0;
+  if (n <= 8) {
+    const __m256i tail = TailMask(n);
+    for (; i + 8 <= m; i += 8) {
+      DirectTileAvx2<8, 1>(a, i, b, out, ldo, k, 0, tail);
+    }
+    for (; i < m; ++i) DirectTileAvx2<1, 1>(a, i, b, out, ldo, k, 0, tail);
+    return;
+  }
+  for (; i + 4 <= m; i += 4) DirectRowsAvx2<4>(a, i, b, out, ldo, k, n);
+  for (; i < m; ++i) DirectRowsAvx2<1>(a, i, b, out, ldo, k, n);
 }
 
 // Hot 4 x 64 tile, processed as four 16-column strips: 8 accumulator
 // registers + 2 panel loads per step stay within the 16 ymm registers.
-void PanelTile4x64Avx2(const float* a0, const float* a1, const float* a2,
-                       const float* a3, const float* panel, float* o0,
+void PanelTile4x64Avx2(MatView a, int64_t i0, const float* panel, float* o0,
                        float* o1, float* o2, float* o3, int k) {
+  const float* a0 = a.data + (i0 + 0) * a.rs;
+  const float* a1 = a.data + (i0 + 1) * a.rs;
+  const float* a2 = a.data + (i0 + 2) * a.rs;
+  const float* a3 = a.data + (i0 + 3) * a.rs;
   for (int s = 0; s < kMmPanel; s += 16) {
     __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
     __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
     __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
     __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
     const float* bp = panel + s;
-    for (int p = 0; p < k; ++p, bp += kMmPanel) {
+    int64_t off = 0;
+    for (int p = 0; p < k; ++p, bp += kMmPanel, off += a.cs) {
       const __m256 b0 = _mm256_loadu_ps(bp);
       const __m256 b1 = _mm256_loadu_ps(bp + 8);
-      __m256 v = _mm256_set1_ps(a0[p]);
+      __m256 v = _mm256_set1_ps(a0[off]);
       acc00 = _mm256_fmadd_ps(v, b0, acc00);
       acc01 = _mm256_fmadd_ps(v, b1, acc01);
-      v = _mm256_set1_ps(a1[p]);
+      v = _mm256_set1_ps(a1[off]);
       acc10 = _mm256_fmadd_ps(v, b0, acc10);
       acc11 = _mm256_fmadd_ps(v, b1, acc11);
-      v = _mm256_set1_ps(a2[p]);
+      v = _mm256_set1_ps(a2[off]);
       acc20 = _mm256_fmadd_ps(v, b0, acc20);
       acc21 = _mm256_fmadd_ps(v, b1, acc21);
-      v = _mm256_set1_ps(a3[p]);
+      v = _mm256_set1_ps(a3[off]);
       acc30 = _mm256_fmadd_ps(v, b0, acc30);
       acc31 = _mm256_fmadd_ps(v, b1, acc31);
     }
@@ -97,16 +145,15 @@ void PanelTile4x64Avx2(const float* a0, const float* a1, const float* a2,
   }
 }
 
-void MatMulPanelRowsAvx2(const float* a, const float* panel, float* out,
+void MatMulPanelRowsAvx2(MatView a, const float* panel, float* out,
                          int64_t row_begin, int64_t row_end, int k, int n,
                          int j0, int width) {
   int64_t i0 = row_begin;
   if (width == kMmPanel) {
     for (; i0 + kMmRowTile <= row_end; i0 += kMmRowTile) {
-      PanelTile4x64Avx2(a + (i0 + 0) * k, a + (i0 + 1) * k,
-                        a + (i0 + 2) * k, a + (i0 + 3) * k, panel,
-                        out + (i0 + 0) * n + j0, out + (i0 + 1) * n + j0,
-                        out + (i0 + 2) * n + j0, out + (i0 + 3) * n + j0, k);
+      PanelTile4x64Avx2(a, i0, panel, out + (i0 + 0) * n + j0,
+                        out + (i0 + 1) * n + j0, out + (i0 + 2) * n + j0,
+                        out + (i0 + 3) * n + j0, k);
     }
   }
   if (i0 < row_end) {
@@ -406,7 +453,7 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = {
       common::Isa::kAvx2,
       "avx2",
-      &MatMulSmallAvx2,
+      &MatMulDirectAvx2,
       &MatMulPanelRowsAvx2,
       &SpmmRowsAvx2,
       &AdamStepAvx2,

@@ -16,53 +16,99 @@
 #include <cmath>
 #include <cstring>
 
+#include "tensor/kernels/direct_strided.h"
 #include "tensor/kernels/kernels.h"
 
 namespace stgnn::tensor::kernels {
 namespace {
 
-void MatMulSmallAvx512(const float* a, const float* b, float* out, int m,
-                       int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    float* orow = out + static_cast<size_t>(i) * n;
-    const float* arow = a + static_cast<size_t>(i) * k;
-    int j = 0;
-    for (; j + 32 <= n; j += 32) {
-      __m512 acc0 = _mm512_loadu_ps(orow + j);
-      __m512 acc1 = _mm512_loadu_ps(orow + j + 16);
-      for (int p = 0; p < k; ++p) {
-        const __m512 v = _mm512_set1_ps(arow[p]);
-        const float* brow = b + static_cast<size_t>(p) * n + j;
-        acc0 = _mm512_fmadd_ps(v, _mm512_loadu_ps(brow), acc0);
-        acc1 = _mm512_fmadd_ps(v, _mm512_loadu_ps(brow + 16), acc1);
+// One register tile of the direct product: rows [i0, i0 + R) x columns
+// [j, j + 16 * V), the last vector masked to the `tail` lanes (masked-off
+// lanes load zeros and are never stored). B is contiguous along j; every
+// lane is one output's p-ascending fma chain from +0.0f.
+template <int R, int V>
+inline void DirectTileAvx512(MatView a, int64_t i0, MatView b, float* out,
+                             int64_t ldo, int k, int j, __mmask16 tail) {
+  // The unroll pragmas keep acc in registers: without full unrolling GCC
+  // stores every accumulator back to the stack on each p step.
+  __m512 acc[R][V];
+  const float* arow[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    arow[r] = a.data + (i0 + r) * a.rs;
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm512_setzero_ps();
+  }
+  const float* bp = b.data + j;
+  for (int p = 0; p < k; ++p, bp += b.rs) {
+    __m512 bv[V];
+    for (int v = 0; v + 1 < V; ++v) bv[v] = _mm512_loadu_ps(bp + 16 * v);
+    bv[V - 1] = _mm512_maskz_loadu_ps(tail, bp + 16 * (V - 1));
+    const int64_t off = p * a.cs;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(arow[r][off]);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_fmadd_ps(av, bv[v], acc[r][v]);
       }
-      _mm512_storeu_ps(orow + j, acc0);
-      _mm512_storeu_ps(orow + j + 16, acc1);
     }
-    for (; j + 16 <= n; j += 16) {
-      __m512 acc = _mm512_loadu_ps(orow + j);
-      for (int p = 0; p < k; ++p) {
-        acc = _mm512_fmadd_ps(
-            _mm512_set1_ps(arow[p]),
-            _mm512_loadu_ps(b + static_cast<size_t>(p) * n + j), acc);
-      }
-      _mm512_storeu_ps(orow + j, acc);
-    }
-    for (; j < n; ++j) {
-      float acc = orow[j];
-      for (int p = 0; p < k; ++p) {
-        acc = std::fmaf(arow[p], b[static_cast<size_t>(p) * n + j], acc);
-      }
-      orow[j] = acc;
-    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* o = out + (i0 + r) * ldo + j;
+    for (int v = 0; v + 1 < V; ++v) _mm512_storeu_ps(o + 16 * v, acc[r][v]);
+    _mm512_mask_storeu_ps(o + 16 * (V - 1), tail, acc[r][V - 1]);
   }
 }
 
+// Rows [i0, i0 + R) across all n columns: full 32-wide strips, then one
+// masked strip for the tail.
+template <int R>
+void DirectRowsAvx512(MatView a, int64_t i0, MatView b, float* out,
+                      int64_t ldo, int k, int n) {
+  int j = 0;
+  for (; j + 32 <= n; j += 32) {
+    DirectTileAvx512<R, 2>(a, i0, b, out, ldo, k, j, 0xFFFF);
+  }
+  const int w = n - j;
+  if (w > 16) {
+    DirectTileAvx512<R, 2>(a, i0, b, out, ldo, k, j,
+                           static_cast<__mmask16>((1u << (w - 16)) - 1));
+  } else if (w > 0) {
+    DirectTileAvx512<R, 1>(a, i0, b, out, ldo, k, j,
+                           static_cast<__mmask16>((1u << w) - 1));
+  }
+}
+
+void MatMulDirectAvx512(MatView a, MatView b, float* out, int64_t ldo, int m,
+                        int k, int n) {
+  if (b.cs != 1) {
+    DirectStrided(a, b, out, ldo, m, k, n);
+    return;
+  }
+  // Tiles of eight accumulators — enough independent chains to cover the
+  // fma latency: 8 rows x 16 columns for narrow outputs, else 4 x 32.
+  int64_t i = 0;
+  if (n <= 16) {
+    const __mmask16 tail = static_cast<__mmask16>((1u << n) - 1);
+    for (; i + 8 <= m; i += 8) {
+      DirectTileAvx512<8, 1>(a, i, b, out, ldo, k, 0, tail);
+    }
+    for (; i < m; ++i) DirectTileAvx512<1, 1>(a, i, b, out, ldo, k, 0, tail);
+    return;
+  }
+  for (; i + 4 <= m; i += 4) DirectRowsAvx512<4>(a, i, b, out, ldo, k, n);
+  for (; i < m; ++i) DirectRowsAvx512<1>(a, i, b, out, ldo, k, n);
+}
+
 // Full 4 x 64 hot tile in one pass: 16 zmm accumulators + 4 panel loads
-// per k step fit comfortably in the 32 zmm registers.
-void PanelTile4x64Avx512(const float* a0, const float* a1, const float* a2,
-                         const float* a3, const float* panel, float* o0,
-                         float* o1, float* o2, float* o3, int k) {
+// per k step fit comfortably in the 32 zmm registers. Rows i0..i0+3 of `a`
+// are read through the view, so a transposed A costs nothing extra.
+void PanelTile4x64Avx512(MatView a, int64_t i0, const float* panel,
+                         float* o0, float* o1, float* o2, float* o3, int k) {
+  const float* a0 = a.data + (i0 + 0) * a.rs;
+  const float* a1 = a.data + (i0 + 1) * a.rs;
+  const float* a2 = a.data + (i0 + 2) * a.rs;
+  const float* a3 = a.data + (i0 + 3) * a.rs;
   __m512 acc00 = _mm512_setzero_ps(), acc01 = _mm512_setzero_ps();
   __m512 acc02 = _mm512_setzero_ps(), acc03 = _mm512_setzero_ps();
   __m512 acc10 = _mm512_setzero_ps(), acc11 = _mm512_setzero_ps();
@@ -72,27 +118,28 @@ void PanelTile4x64Avx512(const float* a0, const float* a1, const float* a2,
   __m512 acc30 = _mm512_setzero_ps(), acc31 = _mm512_setzero_ps();
   __m512 acc32 = _mm512_setzero_ps(), acc33 = _mm512_setzero_ps();
   const float* bp = panel;
-  for (int p = 0; p < k; ++p, bp += kMmPanel) {
+  int64_t off = 0;
+  for (int p = 0; p < k; ++p, bp += kMmPanel, off += a.cs) {
     const __m512 b0 = _mm512_loadu_ps(bp);
     const __m512 b1 = _mm512_loadu_ps(bp + 16);
     const __m512 b2 = _mm512_loadu_ps(bp + 32);
     const __m512 b3 = _mm512_loadu_ps(bp + 48);
-    __m512 v = _mm512_set1_ps(a0[p]);
+    __m512 v = _mm512_set1_ps(a0[off]);
     acc00 = _mm512_fmadd_ps(v, b0, acc00);
     acc01 = _mm512_fmadd_ps(v, b1, acc01);
     acc02 = _mm512_fmadd_ps(v, b2, acc02);
     acc03 = _mm512_fmadd_ps(v, b3, acc03);
-    v = _mm512_set1_ps(a1[p]);
+    v = _mm512_set1_ps(a1[off]);
     acc10 = _mm512_fmadd_ps(v, b0, acc10);
     acc11 = _mm512_fmadd_ps(v, b1, acc11);
     acc12 = _mm512_fmadd_ps(v, b2, acc12);
     acc13 = _mm512_fmadd_ps(v, b3, acc13);
-    v = _mm512_set1_ps(a2[p]);
+    v = _mm512_set1_ps(a2[off]);
     acc20 = _mm512_fmadd_ps(v, b0, acc20);
     acc21 = _mm512_fmadd_ps(v, b1, acc21);
     acc22 = _mm512_fmadd_ps(v, b2, acc22);
     acc23 = _mm512_fmadd_ps(v, b3, acc23);
-    v = _mm512_set1_ps(a3[p]);
+    v = _mm512_set1_ps(a3[off]);
     acc30 = _mm512_fmadd_ps(v, b0, acc30);
     acc31 = _mm512_fmadd_ps(v, b1, acc31);
     acc32 = _mm512_fmadd_ps(v, b2, acc32);
@@ -116,17 +163,15 @@ void PanelTile4x64Avx512(const float* a0, const float* a1, const float* a2,
   _mm512_storeu_ps(o3 + 48, acc33);
 }
 
-void MatMulPanelRowsAvx512(const float* a, const float* panel, float* out,
+void MatMulPanelRowsAvx512(MatView a, const float* panel, float* out,
                            int64_t row_begin, int64_t row_end, int k, int n,
                            int j0, int width) {
   int64_t i0 = row_begin;
   if (width == kMmPanel) {
     for (; i0 + kMmRowTile <= row_end; i0 += kMmRowTile) {
-      PanelTile4x64Avx512(a + (i0 + 0) * k, a + (i0 + 1) * k,
-                          a + (i0 + 2) * k, a + (i0 + 3) * k, panel,
-                          out + (i0 + 0) * n + j0, out + (i0 + 1) * n + j0,
-                          out + (i0 + 2) * n + j0, out + (i0 + 3) * n + j0,
-                          k);
+      PanelTile4x64Avx512(a, i0, panel, out + (i0 + 0) * n + j0,
+                          out + (i0 + 1) * n + j0, out + (i0 + 2) * n + j0,
+                          out + (i0 + 3) * n + j0, k);
     }
   }
   if (i0 < row_end) {
@@ -438,7 +483,7 @@ const KernelTable& Avx512Kernels() {
   static const KernelTable table = {
       common::Isa::kAvx512,
       "avx512",
-      &MatMulSmallAvx512,
+      &MatMulDirectAvx512,
       &MatMulPanelRowsAvx512,
       &SpmmRowsAvx512,
       &AdamStepAvx512,

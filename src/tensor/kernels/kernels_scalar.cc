@@ -11,22 +11,22 @@
 
 namespace stgnn::tensor::kernels {
 
-void ScalarMatMulSmall(const float* a, const float* b, float* out, int m,
-                       int k, int n) {
+void ScalarMatMulDirect(MatView a, MatView b, float* out, int64_t ldo, int m,
+                        int k, int n) {
   for (int i = 0; i < m; ++i) {
-    float* orow = out + static_cast<size_t>(i) * n;
-    const float* arow = a + static_cast<size_t>(i) * k;
+    float* orow = out + i * ldo;
+    std::fill(orow, orow + n, 0.0f);
     for (int p = 0; p < k; ++p) {
-      const float aval = arow[p];
-      const float* brow = b + static_cast<size_t>(p) * n;
+      const float aval = a.at(i, p);
+      const MatView brow = b.Offset(p, 0);
       for (int j = 0; j < n; ++j) {
-        orow[j] = std::fmaf(aval, brow[j], orow[j]);
+        orow[j] = std::fmaf(aval, brow.at(0, j), orow[j]);
       }
     }
   }
 }
 
-void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
+void ScalarMatMulPanelRows(MatView a, const float* panel, float* out,
                            int64_t row_begin, int64_t row_end, int k, int n,
                            int j0, int width) {
   for (int64_t i0 = row_begin; i0 < row_end; i0 += kMmRowTile) {
@@ -39,16 +39,12 @@ void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
     if (rows == kMmRowTile && width == kMmPanel) {
       // Register-blocked hot tile: 4 rows share every load of the packed
       // panel row.
-      const float* a0 = a + (i0 + 0) * k;
-      const float* a1 = a + (i0 + 1) * k;
-      const float* a2 = a + (i0 + 2) * k;
-      const float* a3 = a + (i0 + 3) * k;
       for (int p = 0; p < k; ++p) {
         const float* bp = panel + static_cast<size_t>(p) * kMmPanel;
-        const float v0 = a0[p];
-        const float v1 = a1[p];
-        const float v2 = a2[p];
-        const float v3 = a3[p];
+        const float v0 = a.at(i0 + 0, p);
+        const float v1 = a.at(i0 + 1, p);
+        const float v2 = a.at(i0 + 2, p);
+        const float v3 = a.at(i0 + 3, p);
         for (int j = 0; j < kMmPanel; ++j) {
           acc[0][j] = std::fmaf(v0, bp[j], acc[0][j]);
           acc[1][j] = std::fmaf(v1, bp[j], acc[1][j]);
@@ -60,7 +56,7 @@ void ScalarMatMulPanelRows(const float* a, const float* panel, float* out,
       for (int p = 0; p < k; ++p) {
         const float* bp = panel + static_cast<size_t>(p) * kMmPanel;
         for (int r = 0; r < rows; ++r) {
-          const float v = a[(i0 + r) * k + p];
+          const float v = a.at(i0 + r, p);
           for (int j = 0; j < width; ++j) {
             acc[r][j] = std::fmaf(v, bp[j], acc[r][j]);
           }
@@ -178,7 +174,7 @@ const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       common::Isa::kScalar,
       "scalar",
-      &ScalarMatMulSmall,
+      &ScalarMatMulDirect,
       &ScalarMatMulPanelRows,
       &ScalarSpmmRows,
       &ScalarAdamStep,

@@ -584,6 +584,135 @@ void EluInPlace(Tensor* a, float alpha) {
   });
 }
 
+namespace {
+
+using kernels::MatView;
+
+// B as kMmPanel-wide column panels, each row-major with a fixed kMmPanel
+// stride (the last panel is zero-padded per row), read from the view —
+// a transposed B is gathered here, so it never exists transposed in full.
+// The packed layout keeps the microkernel's streams contiguous regardless
+// of n; the scratch buffer itself is pooled.
+std::vector<float> PackPanels(MatView b, int k, int n) {
+  constexpr int kMmPanel = kernels::kMmPanel;
+  const int num_panels = (n + kMmPanel - 1) / kMmPanel;
+  std::vector<float> packed = common::BufferPool::Global()->AcquireUninitialized(
+      static_cast<size_t>(num_panels) * k * kMmPanel);
+  common::ParallelFor(0, num_panels, 1, [&](int64_t qb, int64_t qe) {
+    for (int64_t q = qb; q < qe; ++q) {
+      const int j0 = static_cast<int>(q) * kMmPanel;
+      const int w = std::min(kMmPanel, n - j0);
+      float* dst = packed.data() + static_cast<size_t>(q) * k * kMmPanel;
+      if (b.cs == 1) {
+        for (int p = 0; p < k; ++p) {
+          const float* src = b.data + p * b.rs + j0;
+          std::copy(src, src + w, dst + static_cast<size_t>(p) * kMmPanel);
+        }
+      } else {
+        // A transposed B is contiguous along p: gather it in 64-deep slabs
+        // so the panel rows being written (a few KiB) stay in L1 while
+        // every source column streams through them.
+        constexpr int kPackDepth = 64;
+        for (int p0 = 0; p0 < k; p0 += kPackDepth) {
+          const int pe = std::min(k, p0 + kPackDepth);
+          for (int jj = 0; jj < w; ++jj) {
+            const MatView col = b.Offset(0, j0 + jj);
+            for (int p = p0; p < pe; ++p) {
+              dst[static_cast<size_t>(p) * kMmPanel + jj] = col.at(p, 0);
+            }
+          }
+        }
+      }
+      if (w < kMmPanel) {
+        for (int p = 0; p < k; ++p) {
+          float* drow = dst + static_cast<size_t>(p) * kMmPanel;
+          std::fill(drow + w, drow + kMmPanel, 0.0f);
+        }
+      }
+    }
+  });
+  return packed;
+}
+
+// out[m, n] = A·B with both operands read through views. Shape picks the
+// path; every path computes each output as the same p-ascending fma chain
+// from +0.0f and hands it to exactly one thread, so the path, the ISA and
+// the thread count never change a bit:
+//   * row-vector (m < kMmRowTile): direct over column chunks — packing
+//     B would cost more than the product, so a transposed B is read in
+//     place by scalar chains;
+//   * small (m*k*n <= mm_small_flops) with B contiguous along j: one
+//     direct call, no packing;
+//   * narrow (n < kMmPanel) with B contiguous along j: direct over row
+//     chunks — a zero-padded panel would be mostly padding;
+//   * panel, for everything else including a transposed B once there are
+//     rows to amortise its gather: B packed into kMmPanel-wide panels,
+//     rows fanned out.
+Tensor MatMulViews(MatView a, MatView b, int m, int k, int n) {
+  STGNN_TRACE_SCOPE("MatMul");
+  STGNN_COUNTER_INC("op.matmul");
+  STGNN_COUNTER_ADD("flops.matmul", int64_t{2} * m * k * n);
+  STGNN_COUNTER_ADD("bytes.matmul_in",
+                    (int64_t{4} * m * k) + (int64_t{4} * k * n));
+  if (m == 0 || k == 0 || n == 0) return Tensor({m, n});
+  // A single column (or a single row of B) is contiguous whichever way it
+  // is stored.
+  if (n == 1) b.cs = 1;
+  const kernels::KernelTable& kt = kernels::Active();
+  constexpr int kMmRowTile = kernels::kMmRowTile;
+  constexpr int kMmPanel = kernels::kMmPanel;
+  const int64_t flops = static_cast<int64_t>(m) * k * n;
+  // Every path overwrites each output element exactly once.
+  Tensor out = Tensor::Uninitialized({m, n});
+  float* po = out.mutable_data().data();
+  // Fan out so each chunk carries about the per-ISA chunk-flop target,
+  // which keeps the dispatch cost negligible relative to the work.
+  auto grain_for = [&](int64_t unit_flops, int64_t min_units) {
+    return std::max<int64_t>(
+        min_units, kt.mm_chunk_flops / std::max<int64_t>(unit_flops, 1));
+  };
+
+  if (m < kMmRowTile) {
+    // Streaming B once dominates, so chunks carry about kElementGrain
+    // elements like the elementwise ops; a transposed B keeps at least two
+    // interleaved chains per chunk.
+    const int64_t grain = std::max<int64_t>(b.cs == 1 ? kMmPanel : 2,
+                                            kElementGrain / (int64_t{k} + m));
+    common::ParallelFor(0, n, grain, [&](int64_t jb, int64_t je) {
+      kt.matmul_direct(a, b.Offset(0, jb), po + jb, n, m, k,
+                       static_cast<int>(je - jb));
+    });
+    return out;
+  }
+  if (b.cs == 1 && (flops <= kt.mm_small_flops || n < kMmPanel)) {
+    const int64_t grain = flops <= kt.mm_small_flops
+                              ? m
+                              : grain_for(int64_t{2} * k * n, 8);
+    common::ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
+      kt.matmul_direct(a.Offset(ib, 0), b, po + ib * n, n,
+                       static_cast<int>(ie - ib), k, n);
+    });
+    return out;
+  }
+
+  std::vector<float> packed = PackPanels(b, k, n);
+  const int num_panels = (n + kMmPanel - 1) / kMmPanel;
+  common::ParallelFor(0, m, grain_for(int64_t{2} * k * n, kMmRowTile),
+                      [&](int64_t ib, int64_t ie) {
+    for (int q = 0; q < num_panels; ++q) {
+      const int j0 = q * kMmPanel;
+      const int w = std::min(kMmPanel, n - j0);
+      const float* panel =
+          packed.data() + static_cast<size_t>(q) * k * kMmPanel;
+      kt.matmul_panel_rows(a, panel, po, ib, ie, k, n, j0, w);
+    }
+  });
+  common::BufferPool::Global()->Release(std::move(packed));
+  return out;
+}
+
+}  // namespace
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   STGNN_CHECK_EQ(a.ndim(), 2);
   STGNN_CHECK_EQ(b.ndim(), 2);
@@ -593,69 +722,34 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int m = a.dim(0);
   const int k = a.dim(1);
   const int n = b.dim(1);
-  STGNN_TRACE_SCOPE("MatMul");
-  STGNN_COUNTER_INC("op.matmul");
-  STGNN_COUNTER_ADD("flops.matmul", int64_t{2} * m * k * n);
-  STGNN_COUNTER_ADD("bytes.matmul_in",
-                    (int64_t{4} * m * k) + (int64_t{4} * k * n));
-  if (m == 0 || k == 0 || n == 0) return Tensor({m, n});
-  // The kernel table carries the per-ISA variants plus their tuning (small
-  // threshold, chunk flops); every fp32 variant is bit-identical, so the
-  // ISA and the path taken never change the result, only the speed.
-  const kernels::KernelTable& kt = kernels::Active();
-  constexpr int kMmRowTile = kernels::kMmRowTile;
-  constexpr int kMmPanel = kernels::kMmPanel;
-  const int64_t flops = static_cast<int64_t>(m) * k * n;
-  const float* pa = a.data().data();
-  const float* pb = b.data().data();
-  if (flops <= kt.mm_small_flops) {
-    // The small kernel accumulates += into the output, so it needs zeros.
-    Tensor out({m, n});
-    kt.matmul_small(pa, pb, out.mutable_data().data(), m, k, n);
-    return out;
-  }
-  // The panel path stores full-k accumulators, overwriting every output
-  // element exactly once.
-  Tensor out = Tensor::Uninitialized({m, n});
-  float* po = out.mutable_data().data();
+  return MatMulViews({a.data().data(), k, 1}, {b.data().data(), n, 1}, m, k,
+                     n);
+}
 
-  // Pack B into kMmPanel-wide column panels, each row-major with a fixed
-  // kMmPanel stride (the last panel is zero-padded per row). The packed
-  // layout keeps the microkernel's streams contiguous regardless of n; the
-  // scratch buffer itself is pooled.
-  const int num_panels = (n + kMmPanel - 1) / kMmPanel;
-  std::vector<float> packed = common::BufferPool::Global()->AcquireUninitialized(
-      static_cast<size_t>(num_panels) * k * kMmPanel);
-  common::ParallelFor(0, num_panels, 1, [&](int64_t qb, int64_t qe) {
-    for (int64_t q = qb; q < qe; ++q) {
-      const int j0 = static_cast<int>(q) * kMmPanel;
-      const int w = std::min(kMmPanel, n - j0);
-      float* dst = packed.data() + static_cast<size_t>(q) * k * kMmPanel;
-      for (int p = 0; p < k; ++p) {
-        const float* src = pb + static_cast<size_t>(p) * n + j0;
-        float* drow = dst + static_cast<size_t>(p) * kMmPanel;
-        std::copy(src, src + w, drow);
-        std::fill(drow + w, drow + kMmPanel, 0.0f);
-      }
-    }
-  });
+Tensor MatMulABt(const Tensor& a, const Tensor& b) {
+  STGNN_CHECK_EQ(a.ndim(), 2);
+  STGNN_CHECK_EQ(b.ndim(), 2);
+  STGNN_CHECK_EQ(a.dim(1), b.dim(1))
+      << "MatMulABt " << ShapeToString(a.shape()) << " x "
+      << ShapeToString(b.shape()) << "^T";
+  const int m = a.dim(0);
+  const int k = a.dim(1);
+  const int n = b.dim(0);
+  return MatMulViews({a.data().data(), k, 1}, {b.data().data(), 1, k}, m, k,
+                     n);
+}
 
-  // Fan rows out across the pool; the per-ISA chunk-flop target keeps the
-  // dispatch cost negligible relative to how fast the variant retires work.
-  const int64_t row_flops = int64_t{2} * k * n;
-  const int64_t grain = std::max<int64_t>(
-      kMmRowTile, kt.mm_chunk_flops / std::max<int64_t>(row_flops, 1));
-  common::ParallelFor(0, m, grain, [&](int64_t ib, int64_t ie) {
-    for (int q = 0; q < num_panels; ++q) {
-      const int j0 = q * kMmPanel;
-      const int w = std::min(kMmPanel, n - j0);
-      const float* panel =
-          packed.data() + static_cast<size_t>(q) * k * kMmPanel;
-      kt.matmul_panel_rows(pa, panel, po, ib, ie, k, n, j0, w);
-    }
-  });
-  common::BufferPool::Global()->Release(std::move(packed));
-  return out;
+Tensor MatMulAtB(const Tensor& a, const Tensor& b) {
+  STGNN_CHECK_EQ(a.ndim(), 2);
+  STGNN_CHECK_EQ(b.ndim(), 2);
+  STGNN_CHECK_EQ(a.dim(0), b.dim(0))
+      << "MatMulAtB " << ShapeToString(a.shape()) << "^T x "
+      << ShapeToString(b.shape());
+  const int m = a.dim(1);
+  const int k = a.dim(0);
+  const int n = b.dim(1);
+  return MatMulViews({a.data().data(), 1, m}, {b.data().data(), n, 1}, m, k,
+                     n);
 }
 
 Tensor SumAll(const Tensor& a) {

@@ -175,6 +175,13 @@ void EluInPlace(Tensor* a, float alpha = 1.0f);
 // --- Linear algebra ---
 // [m, k] x [k, n] -> [m, n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
+// a · bᵀ: [m, k] x [n, k]ᵀ -> [m, n], reading b as stored.
+Tensor MatMulABt(const Tensor& a, const Tensor& b);
+// aᵀ · b: [k, m]ᵀ x [k, n] -> [m, n], reading a as stored.
+Tensor MatMulAtB(const Tensor& a, const Tensor& b);
+// Both are bit-identical to MatMul on an explicitly transposed copy: every
+// output is the same p-ascending fused multiply-add chain from +0.0f on
+// every ISA, path and thread count (DESIGN.md §7d).
 
 // --- Reductions ---
 // Sum/mean/max of all elements, as a scalar tensor.

@@ -8,6 +8,7 @@
 // CI.
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "data/window.h"
 #include "graph/partition.h"
@@ -292,6 +294,86 @@ TEST(OnlineTrainerTest, PatienceRequiresConsecutiveWins) {
   // Every evaluation wins (forced), so publishes happen every `patience`
   // evaluations.
   EXPECT_EQ(publishes, evaluations / options.patience);
+}
+
+// -- Non-finite gradients ---------------------------------------------------
+
+bool AllFinite(const std::vector<Tensor>& tensors) {
+  for (const Tensor& t : tensors) {
+    for (float v : t.data()) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
+// FeatureRing::Push accepts any finite, non-negative flow, so one absurd
+// slot reaches training. Its row sums overflow to +Inf, the training target
+// follows, and the gradient goes non-finite; the step must be skipped
+// rather than written into the Adam moments, which would otherwise stay
+// NaN for good.
+TEST(OnlineTrainerTest, NonFiniteGradientSkipsTheStepAndPublishesNothing) {
+  OnlineHarness h;
+  const uint64_t v1 = h.Publish();
+  OnlineTrainerOptions options = ForcedGate();
+  options.improvement_margin = 0.0f;  // a candidate must strictly beat live
+  OnlineTrainer trainer(&h.ring, SnapshotChannel::ForRegistry(&h.registry),
+                        options);
+  ASSERT_TRUE(trainer.WarmStart().ok());
+#if defined(STGNN_TRACING_ENABLED)
+  common::counters::Counter* skipped =
+      common::counters::FindOrCreate("online.nonfinite_steps");
+  const int64_t skipped_before = skipped->value();
+#endif
+
+  // Slot 12 carries 3e38 trips out of and into station 1: every value is
+  // finite, so the ring takes it, but the station's demand and supply
+  // (row sums over 8 stations) overflow to +Inf.
+  Tensor inflow = h.flow.inflow[12];
+  Tensor outflow = h.flow.outflow[12];
+  for (int j = 0; j < h.flow.num_stations; ++j) {
+    inflow.at(1, j) = 3e38f;
+    outflow.at(1, j) = 3e38f;
+  }
+  ASSERT_TRUE(h.ring.Push(12, inflow, outflow).ok());
+  // The first two training rounds (after slots 14 and 15) both train on
+  // slot 12's target.
+  for (int t = 12; t <= 15; ++t) {
+    if (t > 12) h.Push(t);
+    const PollResult result = trainer.Poll().ValueOrDie();
+    EXPECT_FALSE(result.published) << "slot " << t;
+  }
+  const OnlineTrainerStats stats = trainer.stats();
+  EXPECT_EQ(stats.evaluations, 2);
+  EXPECT_EQ(stats.steps, 2);
+  EXPECT_EQ(stats.nonfinite_steps, 2);
+#if defined(STGNN_TRACING_ENABLED)
+  EXPECT_EQ(skipped->value() - skipped_before, 2);
+#endif
+  // Skipped steps leave the shadow equal to the live model, so it never
+  // beats it and nothing is published.
+  EXPECT_EQ(h.registry.current_version(), v1);
+  const TrainerState state = trainer.ExportState();
+  EXPECT_TRUE(AllFinite(state.shadow_params));
+  EXPECT_TRUE(AllFinite(state.adam.first_moment));
+  EXPECT_TRUE(AllFinite(state.adam.second_moment));
+
+  // Once slot 12 leaves the train window, training resumes with finite
+  // updates.
+  h.Push(16);
+  trainer.Poll().ValueOrDie();
+  EXPECT_EQ(trainer.stats().steps, 3);
+  EXPECT_EQ(trainer.stats().nonfinite_steps, 2);
+  const TrainerState resumed = trainer.ExportState();
+  EXPECT_TRUE(AllFinite(resumed.shadow_params));
+  EXPECT_TRUE(AllFinite(resumed.adam.first_moment));
+  EXPECT_TRUE(AllFinite(resumed.adam.second_moment));
+  bool moved = false;
+  for (size_t i = 0; i < state.shadow_params.size(); ++i) {
+    moved = moved || !state.shadow_params[i].AllClose(
+                         resumed.shadow_params[i], 0.0f);
+  }
+  EXPECT_TRUE(moved);
 }
 
 // -- State export / import --------------------------------------------------

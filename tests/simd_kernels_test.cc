@@ -95,26 +95,61 @@ constexpr int kThreadCounts[] = {1, 2, 7};
 
 TEST(SimdKernels, MatMulBitwiseParityAcrossIsasAndThreadCounts) {
   DispatchGuard guard;
-  // Small-path, panel-path, and just-past-tile shapes; odd dims exercise
-  // every remainder branch of the vector kernels.
+  // How the operands are stored: kAB is MatMul(a, b); kABt is
+  // MatMulABt(a, b) with b stored [n, k]; kAtB is MatMulAtB(a, b) with a
+  // stored [k, m].
+  enum Layout { kAB, kABt, kAtB };
   const struct {
     int m, k, n;
-  } kShapes[] = {{5, 13, 37}, {1, 100, 1}, {4, 64, 64},
-                 {70, 65, 70}, {129, 64, 131}};
+    Layout layout;
+  } kShapes[] = {
+      // Small-path, panel-path, and just-past-tile shapes; odd dims exercise
+      // every remainder branch of the vector kernels.
+      {5, 13, 37, kAB}, {1, 100, 1, kAB}, {4, 64, 64, kAB},
+      {70, 65, 70, kAB}, {129, 64, 131, kAB},
+      // Row-vector path: fewer rows than a panel tile, column chunks.
+      {1, 8, 5000, kAB}, {1, 1, 4097, kAB},
+      // Narrow outputs, on the small path and on the row-chunked narrow path.
+      {70, 65, 1, kAB}, {70, 65, 2, kAB}, {70, 65, 8, kAB},
+      {70, 65, 16, kAB}, {70, 65, 17, kAB}, {513, 600, 1, kAB},
+      {513, 600, 2, kAB}, {513, 600, 8, kAB}, {513, 600, 16, kAB},
+      {513, 600, 17, kAB},
+      // Transposed operands read as stored: row-vector a·bᵀ (B read in
+      // place by scalar chains), a·bᵀ with rows to amortise the gather (B
+      // gathered into zero-padded panels, narrow and wide), a transposed A
+      // on the narrow and panel paths.
+      {1, 5000, 8, kABt}, {300, 129, 17, kABt}, {70, 65, 70, kABt},
+      {513, 300, 2, kAtB}, {70, 65, 70, kAtB}};
   for (const auto& s : kShapes) {
-    common::Rng rng(1000 + s.m + s.k + s.n);
-    const Tensor a = RandomTensor({s.m, s.k}, &rng);
-    const Tensor b = RandomTensor({s.k, s.n}, &rng);
+    common::Rng rng(1000 + s.m + s.k + s.n + s.layout);
+    const Tensor a = s.layout == kAtB ? RandomTensor({s.k, s.m}, &rng)
+                                      : RandomTensor({s.m, s.k}, &rng);
+    const Tensor b = s.layout == kABt ? RandomTensor({s.n, s.k}, &rng)
+                                      : RandomTensor({s.k, s.n}, &rng);
+    auto product = [&] {
+      switch (s.layout) {
+        case kABt:
+          return tensor::MatMulABt(a, b);
+        case kAtB:
+          return tensor::MatMulAtB(a, b);
+        default:
+          return tensor::MatMul(a, b);
+      }
+    };
+    // The reference is the scalar, one-thread MatMul on explicitly
+    // transposed copies.
     common::SetIsa(common::Isa::kScalar);
     common::SetNumThreads(1);
-    const Tensor reference = tensor::MatMul(a, b);
+    const Tensor reference =
+        tensor::MatMul(s.layout == kAtB ? a.Transpose() : a,
+                       s.layout == kABt ? b.Transpose() : b);
     for (int threads : kThreadCounts) {
       common::SetNumThreads(threads);
       for (common::Isa isa : AvailableIsas()) {
         common::SetIsa(isa);
-        EXPECT_TRUE(BitsEqual(reference, tensor::MatMul(a, b)))
+        EXPECT_TRUE(BitsEqual(reference, product()))
             << common::IsaName(isa) << " threads=" << threads << " shape "
-            << s.m << "x" << s.k << "x" << s.n;
+            << s.m << "x" << s.k << "x" << s.n << " layout " << s.layout;
       }
     }
   }
@@ -244,7 +279,7 @@ TEST(SimdKernels, VnniTableSharesFp32KernelsWithAvx512) {
       tensor::kernels::Avx512VnniKernels();
   const tensor::kernels::KernelTable& avx512 =
       tensor::kernels::Avx512Kernels();
-  EXPECT_EQ(vnni.matmul_small, avx512.matmul_small);
+  EXPECT_EQ(vnni.matmul_direct, avx512.matmul_direct);
   EXPECT_EQ(vnni.matmul_panel_rows, avx512.matmul_panel_rows);
   EXPECT_EQ(vnni.spmm_rows, avx512.spmm_rows);
   EXPECT_EQ(vnni.adam_step, avx512.adam_step);
@@ -341,11 +376,21 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
           }
         };
 
-        // matmul_small accumulates into a zeroed output.
-        std::vector<float> small(static_cast<size_t>(m) * n, 0.0f);
-        kt.matmul_small(a.data().data(), b.data().data(), small.data(), m,
-                        kDepth, n);
-        expect_close(small, "matmul_small");
+        // matmul_direct overwrites every element exactly once, so a NaN
+        // sentinel catches any row or column it never visited — with B
+        // contiguous (vector path) and read transposed in place (strided
+        // chains).
+        const tensor::kernels::MatView av{a.data().data(), kDepth, 1};
+        const Tensor bt = b.Transpose();
+        const tensor::kernels::MatView b_views[] = {
+            {b.data().data(), n, 1}, {bt.data().data(), 1, kDepth}};
+        for (const tensor::kernels::MatView& bv : b_views) {
+          std::vector<float> direct(static_cast<size_t>(m) * n,
+                                    std::numeric_limits<float>::quiet_NaN());
+          kt.matmul_direct(av, bv, direct.data(), n, m, kDepth, n);
+          expect_close(direct, bv.cs == 1 ? "matmul_direct"
+                                          : "matmul_direct (strided B)");
+        }
 
         // matmul_panel_rows overwrites every element exactly once, so a NaN
         // sentinel catches any row or column the kernel never visited.
@@ -369,7 +414,7 @@ TEST(SimdKernels, RowAndColumnCoverageAtAwkwardShapes) {
           const int j0 = q * kPanel;
           const int w = std::min(kPanel, n - j0);
           kt.matmul_panel_rows(
-              a.data().data(),
+              av,
               packed.data() + static_cast<size_t>(q) * kDepth * kPanel,
               panel_out.data(), 0, m, kDepth, n, j0, w);
         }
