@@ -126,6 +126,75 @@ BENCHMARK(BM_MatMulModelShapes)
     })
     ->Unit(benchmark::kMicrosecond);
 
+// The broadcast, gradient-reduce and concat ops of the model's learned
+// graphs and heads at the serving n: the FCG row normalisation (Eq. 10,
+// [n,n] / [n,1]), the PCG outer sum (Eq. 15, [n,1] + [1,n], whose backward
+// reduces to both operands) and the column concat of the embeddings and
+// head (Eq. 9, 18, 19). Forward alone, and forward plus backward from a
+// ones gradient.
+enum BroadcastCase { kFcgDiv, kPcgOuterAdd, kConcatCols, kNumBroadcastCases };
+
+void BM_BroadcastModelShapes(benchmark::State& state) {
+  const auto which = static_cast<BroadcastCase>(state.range(0));
+  const bool backward = state.range(1) != 0;
+  const int n = static_cast<int>(state.range(2));
+  common::SetNumThreads(static_cast<int>(state.range(3)));
+  common::Rng rng(9);
+  const Tensor full = Tensor::RandomUniform({n, n}, 0.1f, 1, &rng);
+  const Tensor other = Tensor::RandomUniform({n, n}, 0.1f, 1, &rng);
+  const Tensor col = Tensor::RandomUniform({n, 1}, 1, 2, &rng);
+  const Tensor row = Tensor::RandomUniform({1, n}, 1, 2, &rng);
+  for (auto _ : state) {
+    if (!backward) {
+      switch (which) {
+        case kFcgDiv:
+          benchmark::DoNotOptimize(tensor::Div(full, col));
+          break;
+        case kPcgOuterAdd:
+          benchmark::DoNotOptimize(tensor::Add(col, row));
+          break;
+        default:
+          benchmark::DoNotOptimize(tensor::Concat({full, other}, 1));
+          break;
+      }
+      continue;
+    }
+    Variable y;
+    switch (which) {
+      case kFcgDiv:
+        y = ag::Div(Variable::Parameter(full), Variable::Parameter(col));
+        break;
+      case kPcgOuterAdd:
+        y = ag::Add(Variable::Parameter(col), Variable::Parameter(row));
+        break;
+      default:
+        y = ag::Concat({Variable::Parameter(full), Variable::Parameter(other)},
+                       1);
+        break;
+    }
+    y.Backward();
+    benchmark::DoNotOptimize(y);
+  }
+  static const char* kWhat[] = {"FCG Div [n,n]/[n,1]",
+                                "PCG outer Add [n,1]+[1,n]",
+                                "Concat [n,n]x2 axis 1"};
+  state.SetLabel(std::string(kWhat[which]) + (backward ? " fwd+bwd" : " fwd"));
+  state.SetItemsProcessed(state.iterations() * int64_t{n} * n);
+}
+BENCHMARK(BM_BroadcastModelShapes)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (int64_t which = 0; which < kNumBroadcastCases; ++which) {
+        for (int64_t backward : {0, 1}) {
+          for (int64_t n : {256, 512}) {
+            b->Args({which, backward, n, 1});
+            const int64_t hw = common::HardwareThreads();
+            if (hw > 1) b->Args({which, backward, n, hw});
+          }
+        }
+      }
+    })
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_RowSoftmax(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   common::SetNumThreads(static_cast<int>(state.range(1)));

@@ -62,6 +62,7 @@ Variable Add(const Variable& a, const Variable& b) {
     Node* pa = a.node().get();
     Node* pb = b.node().get();
     node->backward_fn = [self, pa, pb]() {
+      STGNN_TRACE_SCOPE("Add.bwd");
       if (pa->requires_grad) pa->AccumulateGrad(self->grad);
       if (pb->requires_grad) pb->AccumulateGrad(self->grad);
     };
@@ -108,6 +109,7 @@ Variable Div(const Variable& a, const Variable& b) {
     Node* pa = a.node().get();
     Node* pb = b.node().get();
     node->backward_fn = [self, pa, pb]() {
+      STGNN_TRACE_SCOPE("Div.bwd");
       if (pa->requires_grad) {
         pa->AccumulateGrad(tensor::Div(self->grad, pb->value));
       }
@@ -482,24 +484,32 @@ Variable Concat(const std::vector<Variable>& parts, int axis) {
     parents.reserve(parts.size());
     for (const auto& p : parts) parents.push_back(p.node().get());
     node->backward_fn = [self, parents, axis]() {
+      STGNN_TRACE_SCOPE("Concat.bwd");
+      const Tensor& g = self->grad;
       int offset = 0;
       for (Node* parent : parents) {
         const int extent = parent->value.dim(axis);
-        Tensor slice = axis == 0
-                           ? self->grad.SliceRows(offset, offset + extent)
-                           : [&] {
-                               // Column slice of a 2-D gradient.
-                               const int rows = self->grad.dim(0);
-                               Tensor out = Tensor::Uninitialized(
-                                   {rows, extent});
-                               for (int i = 0; i < rows; ++i) {
-                                 for (int j = 0; j < extent; ++j) {
-                                   out.at(i, j) = self->grad.at(i, offset + j);
-                                 }
-                               }
-                               return out;
-                             }();
-        if (parent->requires_grad) parent->AccumulateGrad(std::move(slice));
+        if (parent->requires_grad) {
+          if (axis == 0) {
+            parent->AccumulateGrad(g.SliceRows(offset, offset + extent));
+          } else {
+            // Column slice of a 2-D gradient, copied row by row.
+            const int rows = g.dim(0);
+            const int cols = g.dim(1);
+            Tensor slice = Tensor::Uninitialized({rows, extent});
+            const float* src = g.data().data() + offset;
+            float* dst = slice.mutable_data().data();
+            common::ParallelFor(
+                0, rows, std::max<int64_t>(1, kGradGrain / std::max(cols, 1)),
+                [&](int64_t ib, int64_t ie) {
+                  for (int64_t i = ib; i < ie; ++i) {
+                    std::copy(src + i * cols, src + i * cols + extent,
+                              dst + i * extent);
+                  }
+                });
+            parent->AccumulateGrad(std::move(slice));
+          }
+        }
         offset += extent;
       }
     };
@@ -550,10 +560,29 @@ Variable SumAxisKeepdims(const Variable& a, int axis) {
   if (node->requires_grad) {
     Node* self = node.get();
     Node* pa = a.node().get();
-    node->backward_fn = [self, pa]() {
-      // Broadcasting an [r,1] or [1,c] gradient back over the summed axis.
-      pa->AccumulateGrad(
-          tensor::Add(tensor::Tensor::Zeros(pa->value.shape()), self->grad));
+    node->backward_fn = [self, pa, axis]() {
+      STGNN_TRACE_SCOPE("SumAxis.bwd");
+      // Expands the [r,1] or [1,c] gradient back over the summed axis as
+      // 0.0f + g, the bits of broadcasting it onto zeros (-0.0 becomes +0.0).
+      const Shape& shape = pa->value.shape();
+      const int rows = shape[0];
+      const int cols = shape[1];
+      Tensor dx = Tensor::Uninitialized(shape);
+      const float* gd = self->grad.data().data();
+      float* dxd = dx.mutable_data().data();
+      common::ParallelFor(
+          0, rows, std::max<int64_t>(1, kGradGrain / std::max(cols, 1)),
+          [&](int64_t ib, int64_t ie) {
+            for (int64_t i = ib; i < ie; ++i) {
+              float* row = dxd + i * cols;
+              if (axis == 1) {
+                std::fill(row, row + cols, 0.0f + gd[i]);
+              } else {
+                for (int j = 0; j < cols; ++j) row[j] = 0.0f + gd[j];
+              }
+            }
+          });
+      pa->AccumulateGrad(std::move(dx));
     };
   }
   return Variable::FromNode(node);

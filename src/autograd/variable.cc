@@ -1,8 +1,10 @@
 #include "autograd/variable.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/counters.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace stgnn::autograd {
@@ -10,39 +12,127 @@ namespace stgnn::autograd {
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+// Grain matching the tensor library's elementwise kernels.
+constexpr int64_t kReduceGrain = 16384;
+
+// A run of adjacent grad axes that the target either keeps or sums away.
+struct ReduceAxis {
+  int64_t extent;
+  int64_t stride;  // in grad
+};
+
+// Grad offset of multi-index `x` over `axes` (outermost first). The
+// outermost axis takes the quotient left over, so one axis needs no
+// division.
+int64_t AxesOffset(const std::vector<ReduceAxis>& axes, int64_t x) {
+  int64_t offset = 0;
+  for (size_t k = axes.size(); k-- > 1;) {
+    offset += (x % axes[k].extent) * axes[k].stride;
+    x /= axes[k].extent;
+  }
+  if (!axes.empty()) offset += x * axes[0].stride;
+  return offset;
+}
+
+int64_t AxesSize(const std::vector<ReduceAxis>& axes) {
+  int64_t size = 1;
+  for (const ReduceAxis& axis : axes) size *= axis.extent;
+  return size;
+}
+
+}  // namespace
+
 Tensor ReduceGradToShape(const Tensor& grad, const Shape& target_shape) {
   if (grad.shape() == target_shape) return grad;
-  // Align target to grad's rank with leading 1s, then sum the axes where the
-  // target extent is 1 (or absent).
+  STGNN_TRACE_SCOPE("ReduceGrad");
+  // Align target to grad's rank with leading 1s; the axes where its extent
+  // is 1 (or absent) are summed. Grad axes of extent 1 are dropped and
+  // adjacent axes of the same kind merged, leaving alternating runs.
   const int rank = grad.ndim();
-  const int target_rank = static_cast<int>(target_shape.size());
-  STGNN_CHECK_LE(target_rank, rank);
-  Shape aligned(rank, 1);
-  std::copy(target_shape.begin(), target_shape.end(),
-            aligned.begin() + (rank - target_rank));
+  const int offset = rank - static_cast<int>(target_shape.size());
+  STGNN_CHECK_GE(offset, 0);
+  std::vector<ReduceAxis> kept;
+  std::vector<ReduceAxis> summed;
+  bool inner_kept = false;
+  bool last_kept = false;
+  int64_t run = 1;
+  for (int d = rank - 1; d >= 0; --d) {
+    const int extent = grad.dim(d);
+    const int t = d >= offset ? target_shape[d - offset] : 1;
+    STGNN_CHECK(t == extent || t == 1)
+        << "cannot reduce " << tensor::ShapeToString(grad.shape()) << " to "
+        << tensor::ShapeToString(target_shape);
+    if (extent == 1) continue;
+    const bool keep = t != 1;
+    std::vector<ReduceAxis>& axes = keep ? kept : summed;
+    if (run > 1 && keep == last_kept) {
+      axes.back().extent *= extent;
+    } else {
+      if (run == 1) inner_kept = keep;
+      axes.push_back({extent, run});
+    }
+    last_kept = keep;
+    run *= extent;
+  }
+  std::reverse(kept.begin(), kept.end());
+  std::reverse(summed.begin(), summed.end());
 
-  Tensor out(aligned);
-  // Iterate over all grad elements, folding into the reduced index.
-  std::vector<int> index(rank, 0);
-  const auto& gdata = grad.data();
-  auto& odata = out.mutable_data();
-  // Row-major strides of the aligned (output) shape.
-  std::vector<int64_t> ostrides(rank, 1);
-  for (int i = rank - 2; i >= 0; --i) {
-    ostrides[i] = ostrides[i + 1] * aligned[i + 1];
+  // Each output element is owned by one chunk and sums its inputs in
+  // ascending flat index from +0.0f, the order of one serial pass over the
+  // gradient (and SumAxis's), so the bits do not depend on the thread count.
+  Tensor out = Tensor::Uninitialized(target_shape);
+  float* po = out.mutable_data().data();
+  const float* pg = grad.data().data();
+  const int64_t outputs = out.size();
+  if (grad.size() == 0) {
+    std::fill(po, po + outputs, 0.0f);
+    return out;
   }
-  for (int64_t flat = 0; flat < grad.size(); ++flat) {
-    int64_t oflat = 0;
-    for (int d = 0; d < rank; ++d) {
-      oflat += (aligned[d] == 1 ? 0 : index[d]) * ostrides[d];
-    }
-    odata[static_cast<size_t>(oflat)] += gdata[static_cast<size_t>(flat)];
-    for (int d = rank - 1; d >= 0; --d) {
-      if (++index[d] < grad.dim(d)) break;
-      index[d] = 0;
-    }
+  if (!inner_kept) {
+    // The innermost run is summed and contiguous: each output adds up one
+    // contiguous slice per outer summed index, in turn.
+    const int64_t inner = summed.empty() ? 1 : summed.back().extent;
+    if (!summed.empty()) summed.pop_back();
+    const int64_t outer = AxesSize(summed);
+    const int64_t grain =
+        std::max<int64_t>(1, kReduceGrain / std::max<int64_t>(1, outer * inner));
+    common::ParallelFor(0, outputs, grain, [&](int64_t ob, int64_t oe) {
+      for (int64_t o = ob; o < oe; ++o) {
+        const int64_t base = AxesOffset(kept, o);
+        float acc = 0.0f;
+        for (int64_t r = 0; r < outer; ++r) {
+          const float* src = pg + base + AxesOffset(summed, r);
+          for (int64_t j = 0; j < inner; ++j) acc += src[j];
+        }
+        po[o] = acc;
+      }
+    });
+    return out;
   }
-  return out.Reshape(target_shape);
+  // The innermost run is kept and contiguous in both grad and output: each
+  // chunk accumulates whole summed slices into its piece of output rows.
+  const int64_t cols = kept.back().extent;
+  kept.pop_back();
+  const int64_t reduced = AxesSize(summed);
+  const int64_t grain = std::max<int64_t>(1, kReduceGrain / reduced);
+  common::ParallelFor(0, outputs, grain, [&](int64_t lo, int64_t hi) {
+    for (int64_t o = lo; o < hi;) {
+      const int64_t row = o / cols;
+      const int64_t c0 = o - row * cols;
+      const int64_t n = std::min(cols - c0, hi - o);
+      const int64_t base = AxesOffset(kept, row) + c0;
+      float* dst = po + o;
+      std::fill(dst, dst + n, 0.0f);
+      for (int64_t r = 0; r < reduced; ++r) {
+        const float* src = pg + base + AxesOffset(summed, r);
+        for (int64_t j = 0; j < n; ++j) dst[j] += src[j];
+      }
+      o += n;
+    }
+  });
+  return out;
 }
 
 void Node::AccumulateGrad(const Tensor& g) {

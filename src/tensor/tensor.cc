@@ -16,15 +16,6 @@ namespace stgnn::tensor {
 
 namespace {
 
-// Row-major strides for a shape.
-std::vector<int64_t> ComputeStrides(const Shape& shape) {
-  std::vector<int64_t> strides(shape.size(), 1);
-  for (int i = static_cast<int>(shape.size()) - 2; i >= 0; --i) {
-    strides[i] = strides[i + 1] * shape[i + 1];
-  }
-  return strides;
-}
-
 // Minimum elements per parallel chunk for elementwise kernels; anything
 // smaller runs inline (no std::function, no pool) so tiny tensors pay
 // nothing for the parallel substrate.
@@ -352,59 +343,122 @@ Shape BroadcastShapes(const Shape& a, const Shape& b) {
 
 namespace {
 
+// Broadcast of two operands to an output shape, flattened into rows of the
+// output's last (merged) axis. Output axes of extent 1 are dropped and
+// adjacent axes on which each operand is either broadcast on both or read on
+// both are merged, so the row, column, outer and same-shape cases all reduce
+// to at most a couple of axes. Each operand then reads a row from a base
+// offset computed once per row, with a column stride of 0 or 1.
+struct BroadcastPlan {
+  struct Axis {
+    int64_t extent;
+    int64_t stride_a;  // 0 where `a` is broadcast
+    int64_t stride_b;
+  };
+  std::vector<Axis> axes;  // merged axes, outermost first; last = the row
+
+  BroadcastPlan(const Shape& out, const Shape& a, const Shape& b) {
+    const int rank = static_cast<int>(out.size());
+    const int off_a = rank - static_cast<int>(a.size());
+    const int off_b = rank - static_cast<int>(b.size());
+    // Walk innermost first so each operand's stride is its running size.
+    int64_t run_a = 1;
+    int64_t run_b = 1;
+    for (int d = rank - 1; d >= 0; --d) {
+      if (out[d] == 1) continue;
+      const bool read_a = d >= off_a && a[d - off_a] != 1;
+      const bool read_b = d >= off_b && b[d - off_b] != 1;
+      if (!axes.empty() && (axes.back().stride_a != 0) == read_a &&
+          (axes.back().stride_b != 0) == read_b) {
+        axes.back().extent *= out[d];
+      } else {
+        axes.push_back({out[d], read_a ? run_a : 0, read_b ? run_b : 0});
+      }
+      if (read_a) run_a *= out[d];
+      if (read_b) run_b *= out[d];
+    }
+    std::reverse(axes.begin(), axes.end());
+  }
+
+  // Operand base offsets of output row `row`. The outermost axis takes the
+  // quotient left over, so rank-2 operands need no division.
+  void RowBase(int64_t row, int64_t* base_a, int64_t* base_b) const {
+    int64_t ia = 0;
+    int64_t ib = 0;
+    const int leading = static_cast<int>(axes.size()) - 1;
+    for (int k = leading - 1; k >= 1; --k) {
+      const int64_t idx = row % axes[k].extent;
+      row /= axes[k].extent;
+      ia += idx * axes[k].stride_a;
+      ib += idx * axes[k].stride_b;
+    }
+    if (leading >= 1) {
+      ia += row * axes[0].stride_a;
+      ib += row * axes[0].stride_b;
+    }
+    *base_a = ia;
+    *base_b = ib;
+  }
+};
+
+// dout[j] = fn(da[j * sa], db[j * sb]) for j < n, sa and sb each 0 or 1.
+// `dout` may alias `da` (the in-place ops).
+template <typename Fn>
+inline void BroadcastRow(const float* da, int64_t sa, const float* db,
+                         int64_t sb, float* dout, int64_t n, Fn fn) {
+  if (sa != 0 && sb != 0) {
+    for (int64_t j = 0; j < n; ++j) dout[j] = fn(da[j], db[j]);
+  } else if (sa != 0) {
+    const float y = db[0];
+    for (int64_t j = 0; j < n; ++j) dout[j] = fn(da[j], y);
+  } else if (sb != 0) {
+    const float x = da[0];
+    for (int64_t j = 0; j < n; ++j) dout[j] = fn(x, db[j]);
+  } else {
+    std::fill(dout, dout + n, fn(da[0], db[0]));
+  }
+}
+
+// Writes fn(a, b) broadcast to `out_shape` into `dout`, fanned out over
+// flat chunks of kElementGrain elements; a chunk walks its rows, or the
+// pieces of rows it straddles. Every element is computed on its own, so the
+// result is exact per element at any thread count.
+template <typename Fn>
+void BroadcastApply(const float* da, const Shape& sa, const float* db,
+                    const Shape& sb, float* dout, const Shape& out_shape,
+                    Fn fn) {
+  const BroadcastPlan plan(out_shape, sa, sb);
+  // A single-element output has no axes left: one row of one column.
+  const BroadcastPlan::Axis inner =
+      plan.axes.empty() ? BroadcastPlan::Axis{1, 0, 0} : plan.axes.back();
+  const int64_t cols = inner.extent;
+  const int64_t ca = inner.stride_a;
+  const int64_t cb = inner.stride_b;
+  common::ParallelFor(0, NumElements(out_shape), kElementGrain,
+                      [&](int64_t lo, int64_t hi) {
+    for (int64_t flat = lo; flat < hi;) {
+      const int64_t row = flat / cols;
+      const int64_t c0 = flat - row * cols;
+      const int64_t n = std::min(cols - c0, hi - flat);
+      int64_t base_a = 0;
+      int64_t base_b = 0;
+      plan.RowBase(row, &base_a, &base_b);
+      BroadcastRow(da + base_a + c0 * ca, ca, db + base_b + c0 * cb, cb,
+                   dout + flat, n, fn);
+      flat += n;
+    }
+  });
+}
+
 // Applies `fn` elementwise over broadcast operands.
 template <typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
-  // Fast path: identical shapes.
-  if (a.shape() == b.shape()) {
-    Tensor out = Tensor::Uninitialized(a.shape());
-    STGNN_COUNTER_ADD("elementwise.elems", out.size());
-    const float* da = a.data().data();
-    const float* db = b.data().data();
-    float* dout = out.mutable_data().data();
-    common::ParallelFor(0, out.size(), kElementGrain,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            dout[i] = fn(da[i], db[i]);
-                          }
-                        });
-    return out;
-  }
   const Shape out_shape = BroadcastShapes(a.shape(), b.shape());
   Tensor out = Tensor::Uninitialized(out_shape);
   STGNN_COUNTER_ADD("elementwise.elems", out.size());
-  const int rank = static_cast<int>(out_shape.size());
-
-  // Align operand shapes to the output rank with leading 1s.
-  auto aligned = [rank](const Shape& s) {
-    Shape r(rank, 1);
-    std::copy(s.begin(), s.end(), r.begin() + (rank - s.size()));
-    return r;
-  };
-  const Shape sa = aligned(a.shape());
-  const Shape sb = aligned(b.shape());
-  const auto stra = ComputeStrides(sa);
-  const auto strb = ComputeStrides(sb);
-
-  std::vector<int> index(rank, 0);
-  auto& dout = out.mutable_data();
-  const auto& da = a.data();
-  const auto& db = b.data();
-  for (int64_t flat = 0; flat < out.size(); ++flat) {
-    int64_t ia = 0;
-    int64_t ib = 0;
-    for (int d = 0; d < rank; ++d) {
-      ia += (sa[d] == 1 ? 0 : index[d]) * stra[d];
-      ib += (sb[d] == 1 ? 0 : index[d]) * strb[d];
-    }
-    dout[static_cast<size_t>(flat)] = fn(da[static_cast<size_t>(ia)],
-                                         db[static_cast<size_t>(ib)]);
-    // Advance the multi-index.
-    for (int d = rank - 1; d >= 0; --d) {
-      if (++index[d] < out_shape[d]) break;
-      index[d] = 0;
-    }
-  }
+  if (out.size() == 0) return out;
+  BroadcastApply(a.data().data(), a.shape(), b.data().data(), b.shape(),
+                 out.mutable_data().data(), out_shape, fn);
   return out;
 }
 
@@ -493,41 +547,13 @@ template <typename Fn>
 void BinaryInPlace(Tensor* a, const Tensor& b, Fn fn) {
   STGNN_CHECK(a != nullptr);
   STGNN_COUNTER_ADD("elementwise.elems", a->size());
-  if (a->shape() == b.shape()) {
-    float* da = a->mutable_data().data();
-    const float* db = b.data().data();
-    common::ParallelFor(0, a->size(), kElementGrain,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            da[i] = fn(da[i], db[i]);
-                          }
-                        });
-    return;
-  }
-  const Shape out_shape = BroadcastShapes(a->shape(), b.shape());
-  STGNN_CHECK(out_shape == a->shape())
+  STGNN_CHECK(BroadcastShapes(a->shape(), b.shape()) == a->shape())
       << "in-place op: " << ShapeToString(b.shape())
       << " must broadcast to " << ShapeToString(a->shape());
-  const int rank = a->ndim();
-  Shape sb(rank, 1);
-  std::copy(b.shape().begin(), b.shape().end(),
-            sb.begin() + (rank - b.ndim()));
-  const auto strb = ComputeStrides(sb);
-  std::vector<int> index(rank, 0);
-  auto& da = a->mutable_data();
-  const auto& db = b.data();
-  for (int64_t flat = 0; flat < a->size(); ++flat) {
-    int64_t ib = 0;
-    for (int d = 0; d < rank; ++d) {
-      ib += (sb[d] == 1 ? 0 : index[d]) * strb[d];
-    }
-    da[static_cast<size_t>(flat)] =
-        fn(da[static_cast<size_t>(flat)], db[static_cast<size_t>(ib)]);
-    for (int d = rank - 1; d >= 0; --d) {
-      if (++index[d] < a->shape()[d]) break;
-      index[d] = 0;
-    }
-  }
+  if (a->size() == 0) return;
+  float* da = a->mutable_data().data();
+  BroadcastApply(da, a->shape(), b.data().data(), b.shape(), da, a->shape(),
+                 fn);
 }
 
 template <typename Fn>
@@ -936,18 +962,21 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   int cols = 0;
   for (const auto& p : parts) {
     STGNN_CHECK_EQ(p.dim(0), rows);
+    STGNN_CHECK_EQ(p.size(), NumElements(p.shape())) << "hollow Concat part";
     cols += p.dim(1);
   }
   Tensor out = Tensor::Uninitialized({rows, cols});
-  for (int i = 0; i < rows; ++i) {
-    int col_offset = 0;
-    for (const auto& p : parts) {
-      for (int j = 0; j < p.dim(1); ++j) {
-        out.at(i, col_offset + j) = p.at(i, j);
+  float* dout = out.mutable_data().data();
+  common::ParallelFor(0, rows, RowGrain(cols), [&](int64_t ib, int64_t ie) {
+    for (int64_t i = ib; i < ie; ++i) {
+      float* drow = dout + i * cols;
+      for (const auto& p : parts) {
+        const int w = p.dim(1);
+        const float* src = p.data().data() + i * w;
+        drow = std::copy(src, src + w, drow);
       }
-      col_offset += p.dim(1);
     }
-  }
+  });
   return out;
 }
 
