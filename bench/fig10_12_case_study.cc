@@ -102,8 +102,7 @@ void Run() {
   gbike.Train(flow);
   HeatMap gbike_map;
   for (int t : window_slots(7, 10)) {
-    (void)gbike.Predict(flow, t);
-    const tensor::Tensor& attn = gbike.last_attention();
+    const tensor::Tensor attn = gbike.FirstLayerAttentionAt(flow, t);
     std::vector<float> row;
     for (int j : order) row.push_back(attn.at(target, j));
     gbike_map.cells.push_back(std::move(row));

@@ -64,18 +64,23 @@ void GBike::BuildModel(const data::FlowDataset& flow, common::Rng* rng) {
   head_ = std::make_unique<nn::Linear>(hidden_ / 2, 2, rng);
 }
 
-Variable GBike::AttentionLayer(const Variable& h, const Variable& weight,
-                               const Variable& a_src, const Variable& a_dst,
-                               bool record) const {
-  Variable projected = ag::MatMul(h, weight);
+Variable GBike::AttentionWeights(const Variable& projected,
+                                 const Variable& a_src,
+                                 const Variable& a_dst) const {
   Variable src = ag::MatMul(projected, a_src);
   Variable dst = ag::Transpose(ag::MatMul(projected, a_dst));
   // Learned coefficient plus the fixed distance prior (log-space product).
   Variable e = ag::Add(ag::Elu(ag::Add(src, dst)),
                        Variable::Constant(distance_prior_));
-  Variable attention = ag::RowSoftmax(e);
-  if (record) last_attention_ = attention.value();
-  return ag::Elu(ag::MatMul(attention, projected));
+  return ag::RowSoftmax(e);
+}
+
+Variable GBike::AttentionLayer(const Variable& h, const Variable& weight,
+                               const Variable& a_src,
+                               const Variable& a_dst) const {
+  Variable projected = ag::MatMul(h, weight);
+  return ag::Elu(
+      ag::MatMul(AttentionWeights(projected, a_src, a_dst), projected));
 }
 
 Variable GBike::ForwardSlot(const data::FlowDataset& flow, int t,
@@ -83,10 +88,20 @@ Variable GBike::ForwardSlot(const data::FlowDataset& flow, int t,
   (void)training;
   const Tensor features = BuildWindowFeatures(flow, t, recent_window_,
                                               daily_window_, normalizer());
-  Variable h = AttentionLayer(Variable::Constant(features), w1_, a1_src_,
-                              a1_dst_, /*record=*/true);
-  h = AttentionLayer(h, w2_, a2_src_, a2_dst_, /*record=*/false);
+  Variable h =
+      AttentionLayer(Variable::Constant(features), w1_, a1_src_, a1_dst_);
+  h = AttentionLayer(h, w2_, a2_src_, a2_dst_);
   return head_->Forward(h);
+}
+
+Tensor GBike::FirstLayerAttentionAt(const data::FlowDataset& flow,
+                                    int t) const {
+  STGNN_CHECK_GE(t, MinHistorySlots(flow));
+  const Tensor features = BuildWindowFeatures(flow, t, recent_window_,
+                                              daily_window_, normalizer());
+  return AttentionWeights(ag::MatMul(Variable::Constant(features), w1_),
+                          a1_src_, a1_dst_)
+      .value();
 }
 
 std::vector<Variable> GBike::Parameters() const {

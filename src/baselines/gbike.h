@@ -20,10 +20,11 @@ class GBike : public NeuralPredictorBase {
   std::string name() const override { return "GBike"; }
   int MinHistorySlots(const data::FlowDataset& flow) const override;
 
-  // Attention matrix of the first layer from the most recent forward pass
-  // (used by the case-study bench to reproduce Fig. 10's "existing
-  // approach" heat map). Rows: target station; cols: source station.
-  const tensor::Tensor& last_attention() const { return last_attention_; }
+  // First-layer attention that Predict(flow, t) computes (the case-study
+  // bench's Fig. 10 "existing approach" heat map). Rows: target station;
+  // cols: source station.
+  tensor::Tensor FirstLayerAttentionAt(const data::FlowDataset& flow,
+                                       int t) const;
 
  protected:
   void BuildModel(const data::FlowDataset& flow, common::Rng* rng) override;
@@ -32,11 +33,14 @@ class GBike : public NeuralPredictorBase {
   std::vector<autograd::Variable> Parameters() const override;
 
  private:
+  // Row-softmax attention over the projected features P = h W.
+  autograd::Variable AttentionWeights(const autograd::Variable& projected,
+                                      const autograd::Variable& a_src,
+                                      const autograd::Variable& a_dst) const;
   autograd::Variable AttentionLayer(const autograd::Variable& h,
                                     const autograd::Variable& weight,
                                     const autograd::Variable& a_src,
-                                    const autograd::Variable& a_dst,
-                                    bool record) const;
+                                    const autograd::Variable& a_dst) const;
 
   int recent_window_;
   int daily_window_;
@@ -47,7 +51,6 @@ class GBike : public NeuralPredictorBase {
   autograd::Variable w1_, a1_src_, a1_dst_;
   autograd::Variable w2_, a2_src_, a2_dst_;
   std::unique_ptr<nn::Linear> head_;
-  mutable tensor::Tensor last_attention_;
 };
 
 }  // namespace stgnn::baselines

@@ -285,24 +285,27 @@ AttentionGnnLayer::AttentionGnnLayer(int feature_dim, int num_heads,
                                        rng));
 }
 
-Variable AttentionGnnLayer::Forward(const Variable& features) const {
+Variable AttentionGnnLayer::HeadAttention(const Variable& features,
+                                          int u) const {
   STGNN_CHECK_EQ(features.value().dim(1), feature_dim_);
+  // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
+  // source/destination halves turns the pairwise concat into an outer sum:
+  // e = ELU(s 1^T + 1 d^T) with s = H a_src, d = H a_dst.
+  Variable projected = ag::MatMul(features, w8_[u]);               // [n, f]
+  Variable src = ag::MatMul(projected, a_src_[u]);                 // [n, 1]
+  Variable dst = ag::Transpose(ag::MatMul(projected, a_dst_[u]));  // [1, n]
+  Variable e = ag::EluInPlace(ag::Add(src, dst));                  // [n, n]
+  // Eq. (16): dense softmax over all stations — no locality prior.
+  return ag::RowSoftmax(e);
+}
+
+Variable AttentionGnnLayer::Forward(const Variable& features) const {
   STGNN_TRACE_SCOPE("AttentionGnn.Forward");
   STGNN_COUNTER_INC("op.attention_gnn_layer");
-  last_attention_.clear();
   std::vector<Variable> head_outputs;
   head_outputs.reserve(num_heads_);
   for (int u = 0; u < num_heads_; ++u) {
-    // Eq. (15): e(i,j) = ELU([F_i W8 || F_j W8] W9). Splitting W9 into the
-    // source/destination halves turns the pairwise concat into an outer sum:
-    // e = ELU(s 1^T + 1 d^T) with s = H a_src, d = H a_dst.
-    Variable projected = ag::MatMul(features, w8_[u]);       // [n, f]
-    Variable src = ag::MatMul(projected, a_src_[u]);         // [n, 1]
-    Variable dst = ag::Transpose(ag::MatMul(projected, a_dst_[u]));  // [1, n]
-    Variable e = ag::EluInPlace(ag::Add(src, dst));          // [n, n]
-    // Eq. (16): dense softmax over all stations — no locality prior.
-    Variable alpha = ag::RowSoftmax(e);
-    last_attention_.push_back(alpha.value());
+    Variable alpha = HeadAttention(features, u);
     // Eq. (17): head output sigma2(alpha · (F phi_u)). The paper writes
     // phi F with phi in R^{n x n}; with feature dim n both orders type-check
     // and we apply phi on the feature side, the standard value transform.
@@ -321,6 +324,15 @@ Variable AttentionGnnLayer::Forward(const Variable& features) const {
   // Eq. (18): concat heads and project with W10.
   Variable concat = ag::Concat(head_outputs, /*axis=*/1);  // [n, m*f]
   return ag::MatMul(concat, w10_);
+}
+
+std::vector<Tensor> AttentionGnnLayer::Attention(
+    const Variable& features) const {
+  std::vector<Tensor> heads;
+  for (int u = 0; u < num_heads_; ++u) {
+    heads.push_back(HeadAttention(features, u).value());
+  }
+  return heads;
 }
 
 }  // namespace stgnn::core

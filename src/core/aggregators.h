@@ -98,11 +98,10 @@ class AttentionGnnLayer : public nn::Module {
 
   autograd::Variable Forward(const autograd::Variable& features) const;
 
-  // Per-head attention matrices from the most recent Forward (values only);
-  // used by the case-study experiments (Figs. 11-12).
-  const std::vector<tensor::Tensor>& last_attention() const {
-    return last_attention_;
-  }
+  // Per-head attention alpha_u (Eq. (16)) that Forward computes on
+  // `features`; used by the case-study experiments (Figs. 11-12).
+  std::vector<tensor::Tensor> Attention(
+      const autograd::Variable& features) const;
 
   int num_heads() const { return num_heads_; }
   int feature_dim() const { return feature_dim_; }
@@ -117,6 +116,10 @@ class AttentionGnnLayer : public nn::Module {
   const autograd::Variable& w10() const { return w10_; }
 
  private:
+  // Eq. (15)-(16) for head u: the [n, n] row-softmax attention.
+  autograd::Variable HeadAttention(const autograd::Variable& features,
+                                   int u) const;
+
   int feature_dim_;
   int num_heads_;
   bool self_term_;
@@ -125,7 +128,6 @@ class AttentionGnnLayer : public nn::Module {
   std::vector<autograd::Variable> a_dst_;  // per head, [f, 1] (W9 bottom)
   std::vector<autograd::Variable> phi_;    // per head, [f, f]
   autograd::Variable w10_;                 // [m*f, f]
-  mutable std::vector<tensor::Tensor> last_attention_;
 };
 
 }  // namespace stgnn::core

@@ -126,11 +126,6 @@ Variable PcgBranch::Forward(const Variable& features) const {
   return h;
 }
 
-std::vector<Tensor> PcgBranch::FirstLayerAttention() const {
-  if (attention_layers_.empty()) return {};
-  return attention_layers_.front()->last_attention();
-}
-
 StgnnDjdModel::StgnnDjdModel(int num_stations, const StgnnConfig& config,
                              common::Rng* rng)
     : num_stations_(num_stations), config_(config) {
@@ -270,11 +265,6 @@ Tensor StgnnDjdModel::ForwardFromStages(
   // bit-identical to Forward(history, false, nullptr).
   const Variable features = Variable::Constant(embeddings.node_features);
   return RunHead(features, graph, /*training=*/false, nullptr).value();
-}
-
-std::vector<Tensor> StgnnDjdModel::LastPcgAttention() const {
-  if (!pcg_branch_) return {};
-  return pcg_branch_->FirstLayerAttention();
 }
 
 std::shared_ptr<const autograd::QuantizedWeightSet>
@@ -452,11 +442,16 @@ Tensor StgnnDjdPredictor::Predict(const data::FlowDataset& flow, int t) {
 }
 
 std::vector<Tensor> StgnnDjdPredictor::PcgAttentionAt(
-    const data::FlowDataset& flow, int t) {
+    const data::FlowDataset& flow, int t) const {
   STGNN_CHECK(model_ != nullptr) << "PcgAttentionAt before Train";
-  const data::StHistory history = HistoryAt(flow, t);
-  (void)model_->Forward(history, /*training=*/false, nullptr);
-  return model_->LastPcgAttention();
+  const PcgBranch* pcg = model_->pcg_branch();
+  if (pcg == nullptr || pcg->num_attention_layers() == 0) return {};
+  // Dropout is the identity in inference, so the first PCG layer sees
+  // exactly the stage-2 node features.
+  StgnnDjdModel::Embeddings embeddings =
+      model_->ComputeEmbeddings(HistoryAt(flow, t));
+  return pcg->attention_layer(0).Attention(
+      Variable::Constant(std::move(embeddings.node_features)));
 }
 
 }  // namespace stgnn::core

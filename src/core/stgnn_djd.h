@@ -54,10 +54,6 @@ class PcgBranch : public nn::Module {
 
   autograd::Variable Forward(const autograd::Variable& features) const;
 
-  // Per-head attention of the *first* attention layer from the most recent
-  // Forward; empty for non-attention aggregators. Used by the case study.
-  std::vector<tensor::Tensor> FirstLayerAttention() const;
-
   Aggregator aggregator() const { return aggregator_; }
   int num_attention_layers() const {
     return static_cast<int>(attention_layers_.size());
@@ -133,10 +129,6 @@ class StgnnDjdModel : public nn::Module {
   std::shared_ptr<const autograd::QuantizedWeightSet> QuantizeWeights(
       tensor::Precision precision) const;
 
-  // Attention matrices (per head) of the first PCG attention layer from the
-  // most recent Forward call.
-  std::vector<tensor::Tensor> LastPcgAttention() const;
-
   int num_stations() const { return num_stations_; }
   const StgnnConfig& config() const { return config_; }
 
@@ -192,9 +184,10 @@ class StgnnDjdPredictor : public eval::Predictor {
   // First slot this model can predict for the given dataset.
   int MinHistorySlots(const data::FlowDataset& flow) const;
 
-  // Case-study hook: per-head attention of the first PCG layer at slot t.
+  // Case-study hook: per-head attention of the first PCG layer at slot t;
+  // empty without a PCG attention layer.
   std::vector<tensor::Tensor> PcgAttentionAt(const data::FlowDataset& flow,
-                                             int t);
+                                             int t) const;
 
   const StgnnConfig& config() const { return config_; }
   const StgnnDjdModel* model() const { return model_.get(); }

@@ -34,11 +34,8 @@ GatLayer::GatLayer(int in_features, int out_features, common::Rng* rng)
       "a_dst", nn::XavierUniform({out_features, 1}, out_features, 1, rng));
 }
 
-Variable GatLayer::Forward(const Variable& h,
-                           const Variable& edge_mask) const {
-  STGNN_CHECK_EQ(h.value().dim(1), in_features_);
-  const int n = h.value().dim(0);
-  Variable projected = ag::MatMul(h, weight_);  // [n, out]
+Variable GatLayer::MaskedAttention(const Variable& projected,
+                                   const Variable& edge_mask) const {
   // e(i, j) = elu(s_i + d_j) where s = P a_src, d = P a_dst; computed as an
   // outer sum via broadcasting: s is [n, 1], d^T is [1, n].
   Variable scores_src = ag::MatMul(projected, a_src_);           // [n, 1]
@@ -58,10 +55,20 @@ Variable GatLayer::Forward(const Variable& h,
                         });
   }
   Variable neg_inf_mask = Variable::Constant(std::move(neg_inf));
-  Variable attention = ag::RowSoftmax(ag::Add(e, neg_inf_mask));
-  last_attention_ = attention.value();
-  (void)n;
-  return ag::Elu(ag::MatMul(attention, projected));
+  return ag::RowSoftmax(ag::Add(e, neg_inf_mask));
+}
+
+Variable GatLayer::Forward(const Variable& h,
+                           const Variable& edge_mask) const {
+  STGNN_CHECK_EQ(h.value().dim(1), in_features_);
+  Variable projected = ag::MatMul(h, weight_);  // [n, out]
+  return ag::Elu(ag::MatMul(MaskedAttention(projected, edge_mask), projected));
+}
+
+tensor::Tensor GatLayer::Attention(const Variable& h,
+                                   const Variable& edge_mask) const {
+  STGNN_CHECK_EQ(h.value().dim(1), in_features_);
+  return MaskedAttention(ag::MatMul(h, weight_), edge_mask).value();
 }
 
 }  // namespace stgnn::graph

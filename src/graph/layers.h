@@ -38,16 +38,20 @@ class GatLayer : public nn::Module {
   autograd::Variable Forward(const autograd::Variable& h,
                              const autograd::Variable& edge_mask) const;
 
-  // Attention matrix of the last Forward call (value only, for case studies).
-  const tensor::Tensor& last_attention() const { return last_attention_; }
+  // The [n, n] attention Forward computes on these inputs (case studies).
+  tensor::Tensor Attention(const autograd::Variable& h,
+                           const autograd::Variable& edge_mask) const;
 
  private:
+  // Masked row-softmax attention over the projected features P = h W.
+  autograd::Variable MaskedAttention(const autograd::Variable& projected,
+                                     const autograd::Variable& edge_mask) const;
+
   int in_features_;
   int out_features_;
   autograd::Variable weight_;  // [in, out]
   autograd::Variable a_src_;   // [out, 1]
   autograd::Variable a_dst_;   // [out, 1]
-  mutable tensor::Tensor last_attention_;
 };
 
 }  // namespace stgnn::graph

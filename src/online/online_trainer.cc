@@ -100,8 +100,6 @@ Status OnlineTrainer::WarmStart() {
   store_capacity_ = window_ + options_.train_window + options_.holdout_slots +
                     horizon_ + options_.replay_slack;
   shadow_ = CloneModel(*live->model);
-  baseline_ = CloneModel(*live->model);
-  baseline_version_ = live->version;
   adam_ = std::make_unique<nn::Adam>(shadow_->parameters(),
                                      config_.learning_rate);
   total_steps_ = 0;
@@ -347,13 +345,10 @@ Result<PollResult> OnlineTrainer::PollLocked() {
     return result;  // not enough contiguous history yet
   }
 
-  // An external publish (a manual swap, another trainer) moves the live
-  // version; resync the private baseline so the gate compares against what
-  // is actually serving.
-  if (auto live = channel_.live();
-      live != nullptr && live->version != baseline_version_) {
-    baseline_ = CloneModel(*live->model);
-    baseline_version_ = live->version;
+  // The gate scores whatever is serving now (see the class comment).
+  const std::shared_ptr<const serve::ModelSnapshot> live = channel_.live();
+  if (live == nullptr) {
+    return Status::FailedPrecondition("no live snapshot to evaluate against");
   }
 
   for (int s = 0; s < options_.steps_per_round; ++s) {
@@ -363,7 +358,7 @@ Result<PollResult> OnlineTrainer::PollLocked() {
   }
 
   result.candidate = Evaluate(*shadow_, holdout_min, t_max);
-  result.live = Evaluate(*baseline_, holdout_min, t_max);
+  result.live = Evaluate(*live->model, holdout_min, t_max);
   result.evaluated = true;
   ++stats_.evaluations;
   stats_.last_candidate_rmse = result.candidate.rmse;
@@ -400,8 +395,6 @@ Result<PollResult> OnlineTrainer::PollLocked() {
       t_max - last_swap_slot_ >= options_.min_slots_between_swaps;
   if (win_streak_ >= options_.patience && cooled) {
     const uint64_t version = PublishCandidate();
-    baseline_ = CloneModel(*shadow_);
-    baseline_version_ = version;
     win_streak_ = 0;
     last_swap_slot_ = t_max;
     result.published = true;
@@ -421,12 +414,8 @@ TrainerState OnlineTrainer::ExportState() const {
   for (const auto& p : shadow_->parameters()) {
     state.shadow_params.push_back(p.value());
   }
-  for (const auto& p : baseline_->parameters()) {
-    state.baseline_params.push_back(p.value());
-  }
   state.adam = adam_->ExportState();
   state.total_steps = total_steps_;
-  state.baseline_version = baseline_version_;
   state.win_streak = win_streak_;
   state.last_swap_slot = last_swap_slot_;
   state.store_first = store_first_;
@@ -446,9 +435,7 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
         "ImportState needs a warm-started trainer (models exist)");
   }
   auto shadow_params = shadow_->parameters();
-  auto baseline_params = baseline_->parameters();
-  if (state.shadow_params.size() != shadow_params.size() ||
-      state.baseline_params.size() != baseline_params.size()) {
+  if (state.shadow_params.size() != shadow_params.size()) {
     return Status::InvalidArgument("TrainerState parameter count mismatch");
   }
   for (size_t i = 0; i < shadow_params.size(); ++i) {
@@ -459,13 +446,19 @@ Status OnlineTrainer::ImportState(const TrainerState& state) {
   if (state.store_inflow.size() != state.store_outflow.size()) {
     return Status::InvalidArgument("TrainerState store lists disagree");
   }
+  // AssembleHistory copies n*n floats out of every stored slot.
+  const tensor::Shape slot_shape{num_stations_, num_stations_};
+  for (size_t i = 0; i < state.store_inflow.size(); ++i) {
+    if (state.store_inflow[i].shape() != slot_shape ||
+        state.store_outflow[i].shape() != slot_shape) {
+      return Status::InvalidArgument("TrainerState store slot is not [n, n]");
+    }
+  }
   STGNN_RETURN_NOT_OK(adam_->ImportState(state.adam));
   for (size_t i = 0; i < shadow_params.size(); ++i) {
     shadow_params[i].SetValue(state.shadow_params[i]);
-    baseline_params[i].SetValue(state.baseline_params[i]);
   }
   total_steps_ = state.total_steps;
-  baseline_version_ = state.baseline_version;
   win_streak_ = state.win_streak;
   last_swap_slot_ = state.last_swap_slot;
   store_.clear();

@@ -81,7 +81,7 @@ struct PollResult {
   int steps = 0;           // optimizer steps taken
   bool evaluated = false;
   HoldoutMetrics candidate;  // shadow model on the holdout
-  HoldoutMetrics live;       // trainer's copy of the published weights
+  HoldoutMetrics live;       // the live snapshot's model, evaluated fp32
   bool published = false;
   uint64_t published_version = 0;
 };
@@ -102,18 +102,15 @@ struct OnlineTrainerStats {
   int fetched_through = 0;  // slots [0, fetched_through) seen by the trainer
 };
 
-// Everything mutable about a trainer run: shadow + baseline weights, the
-// fused-Adam moments, the slot store, and the gate bookkeeping. Restoring
-// it into a trainer over the same ring/channel resumes training
-// bit-identically to a run that never stopped (pinned by
-// tests/online_test.cc). Weights/moments can also round-trip through
-// nn::SaveParameters / nn::SaveAdamState for on-disk checkpoints.
+// Everything mutable about a trainer run: shadow weights, the fused-Adam
+// moments, the slot store, and the gate bookkeeping. Restoring it into a
+// trainer over the same ring/channel resumes training bit-identically to a
+// run that never stopped (pinned by tests/online_test.cc). Weights/moments
+// can also round-trip through nn::SaveParameters / nn::SaveAdamState.
 struct TrainerState {
   std::vector<tensor::Tensor> shadow_params;
-  std::vector<tensor::Tensor> baseline_params;
   nn::AdamState adam;
   int64_t total_steps = 0;
-  uint64_t baseline_version = 0;
   int win_streak = 0;
   int last_swap_slot = -1;
   int store_first = 0;
@@ -136,9 +133,9 @@ struct TrainerState {
 // Each Poll round: copy out newly ingested slots, take steps_per_round
 // full-batch fused-Adam steps over the train window (the zero-alloc pooled
 // train step — release-graph backward, grad clip, fused Adam), then
-// evaluate the shadow against the trainer's private copy of the published
-// weights on the newest holdout_slots slots. A candidate that beats the
-// live RMSE by improvement_margin (without degrading MAE) on `patience`
+// evaluate the shadow and the channel's live model on the newest
+// holdout_slots slots. A candidate that beats the live RMSE by
+// improvement_margin (without degrading MAE) on `patience`
 // consecutive evaluations is cloned into an immutable snapshot, quantized
 // to the serving precision when the config asks for it, and published
 // through the channel — exactly what a manual swap does, so slot caches
@@ -146,10 +143,9 @@ struct TrainerState {
 // provably never reaches the registry (online.rejected_candidates counts
 // them; tests/online_test.cc pins the property).
 //
-// The live model object itself is never forwarded by the trainer — serving
-// forwards mutate the model's attention cache, so the trainer evaluates
-// against its own clone of the published weights (resynced whenever an
-// external publish changes the live version).
+// Forward writes no state, so each round scores the live snapshot's model
+// in place, concurrently with serving, external publishes included. The
+// trainer thread holds no QuantizedInferenceScope: both sides score fp32.
 //
 // Thread-safety: Poll(), ExportState(), ImportState() and stats() are
 // mutually serialised by an internal mutex. Start() runs Poll on a
@@ -166,17 +162,18 @@ class OnlineTrainer {
   OnlineTrainer(const OnlineTrainer&) = delete;
   OnlineTrainer& operator=(const OnlineTrainer&) = delete;
 
-  // Clones the live snapshot into the shadow and baseline models and
-  // builds a fresh fused-Adam over the shadow. Typed errors:
+  // Clones the live snapshot into the shadow model and builds a fresh
+  // fused-Adam over the shadow. Typed errors:
   //  - FailedPrecondition: nothing published yet;
   //  - InvalidArgument: the snapshot's window config disagrees with the
   //    ring's (the assembled histories would not match serving's).
   Status WarmStart();
 
   // One synchronous round: fetch → train → evaluate → maybe publish.
-  // Returns what happened; FailedPrecondition before WarmStart. A round
-  // with no new slots since the last one trains nothing (the background
-  // loop may race a manual Poll; the frontier check makes that benign).
+  // Returns what happened; FailedPrecondition before WarmStart or with no
+  // live snapshot. A round with no new slots since the last one trains
+  // nothing (the background loop may race a manual Poll; the frontier
+  // check makes that benign).
   Result<PollResult> Poll();
 
   // Background mode: Poll whenever the ring frontier advances.
@@ -184,7 +181,8 @@ class OnlineTrainer {
   void Stop();  // idempotent; joins the thread
 
   // Deep-copies / restores the full mutable state (see TrainerState).
-  // ImportState fails with InvalidArgument on shape/count mismatch.
+  // ImportState fails with InvalidArgument on shape/count mismatch
+  // (a stored slot must be [n, n]).
   TrainerState ExportState() const;
   Status ImportState(const TrainerState& state);
 
@@ -233,8 +231,6 @@ class OnlineTrainer {
   float input_scale_ = 1.0f;
   int horizon_ = 1;
   std::unique_ptr<core::StgnnDjdModel> shadow_;
-  std::unique_ptr<core::StgnnDjdModel> baseline_;
-  uint64_t baseline_version_ = 0;
   std::unique_ptr<nn::Adam> adam_;
   int64_t total_steps_ = 0;
   int win_streak_ = 0;

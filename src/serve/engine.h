@@ -82,10 +82,9 @@ class LocalEngine : public InferenceEngine {
   FeatureRing* const ring_;
   // Memoised serving prefixes, invalidated via RingListener.
   SlotCache cache_;
-  // Serialises model execution: the tensor kernels inside one Forward
-  // already use every pool thread, and the attention layers cache their
-  // last attention matrices, so concurrent Forwards on a shared snapshot
-  // would race for no throughput gain.
+  // Serialises model execution: Forward writes no state, but the kernels
+  // inside one Forward already use every pool thread, and how two workers
+  // would share the pool is unmeasured.
   std::mutex exec_mu_;
 };
 

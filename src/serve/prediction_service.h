@@ -62,9 +62,9 @@ struct PredictResponse {
 
 struct ServiceOptions {
   // Worker threads draining the queue. Model execution itself is
-  // serialised (the kernels already fan out on the shared thread pool, and
-  // StgnnDjdModel::Forward caches attention for inspection), so extra
-  // workers overlap feature assembly / response slicing with the forward.
+  // serialised by the engine (the kernels already fan out on the shared
+  // thread pool), so extra workers overlap feature assembly / response
+  // slicing with the forward.
   int num_workers = 1;
   // Pending station-set queries coalesced into one Forward call.
   int max_batch = 16;

@@ -171,12 +171,6 @@ class SlotCacheT : public RingListener {
     shelves_.resize(kept);
   }
 
-  // Drops everything (tests; not needed for hot-swap, which re-keys).
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    shelves_.clear();
-  }
-
   const Stats& stats() const { return stats_; }
 
   size_t size() const {

@@ -578,9 +578,6 @@ void SubInPlace(Tensor* a, const Tensor& b) {
 void MulInPlace(Tensor* a, const Tensor& b) {
   BinaryInPlace(a, b, [](float x, float y) { return x * y; });
 }
-void AddScalarInPlace(Tensor* a, float s) {
-  MapInPlace(a, [s](float x) { return x + s; });
-}
 void MulScalarInPlace(Tensor* a, float s) {
   MapInPlace(a, [s](float x) { return x * s; });
 }

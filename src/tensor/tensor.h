@@ -164,7 +164,6 @@ Tensor MulScalar(const Tensor& a, float s);
 void AddInPlace(Tensor* a, const Tensor& b);
 void SubInPlace(Tensor* a, const Tensor& b);
 void MulInPlace(Tensor* a, const Tensor& b);
-void AddScalarInPlace(Tensor* a, float s);
 void MulScalarInPlace(Tensor* a, float s);
 // a += s * b (same shape), rounding s*b before the add like the
 // Add(a, MulScalar(b, s)) composition it replaces.

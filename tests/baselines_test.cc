@@ -264,8 +264,8 @@ TEST(GBikeTest, AttentionFavorsNearbyStations) {
   const auto& flow = TestFlow();
   GBike gbike(FastOptions(), 4, 2, 16, /*neighbors=*/5, /*kernel_sigma=*/1.0);
   gbike.Train(flow);
-  (void)gbike.Predict(flow, flow.val_end + flow.slots_per_day / 2);
-  const Tensor attn = gbike.last_attention();
+  const Tensor attn =
+      gbike.FirstLayerAttentionAt(flow, flow.val_end + flow.slots_per_day / 2);
   ASSERT_EQ(attn.dim(0), flow.num_stations);
   // Attention restricted to the kNN graph: each row has at most k+1 nonzero
   // entries (neighbours + self).

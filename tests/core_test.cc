@@ -208,7 +208,7 @@ TEST(AggregatorLayersTest, ShapesPreserved) {
   AttentionGnnLayer attn_layer(n, 3, &rng);
   EXPECT_EQ(attn_layer.Forward(features).value().shape(),
             (tensor::Shape{n, n}));
-  EXPECT_EQ(attn_layer.last_attention().size(), 3u);
+  EXPECT_EQ(attn_layer.Attention(features).size(), 3u);
 }
 
 TEST(AttentionAggregatorTest, AttentionRowsAreDistributions) {
@@ -217,8 +217,7 @@ TEST(AttentionAggregatorTest, AttentionRowsAreDistributions) {
   AttentionGnnLayer layer(n, 2, &rng);
   Variable features =
       Variable::Constant(Tensor::RandomUniform({n, n}, -1, 1, &rng));
-  (void)layer.Forward(features);
-  for (const Tensor& attn : layer.last_attention()) {
+  for (const Tensor& attn : layer.Attention(features)) {
     for (int i = 0; i < n; ++i) {
       float total = 0.0f;
       for (int j = 0; j < n; ++j) {
@@ -236,8 +235,7 @@ TEST(AttentionAggregatorTest, HeadsDiffer) {
   AttentionGnnLayer layer(n, 2, &rng);
   Variable features =
       Variable::Constant(Tensor::RandomUniform({n, n}, -1, 1, &rng));
-  (void)layer.Forward(features);
-  const auto& attn = layer.last_attention();
+  const std::vector<Tensor> attn = layer.Attention(features);
   ASSERT_EQ(attn.size(), 2u);
   EXPECT_FALSE(attn[0].AllClose(attn[1], 1e-4f));
 }

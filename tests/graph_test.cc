@@ -145,8 +145,7 @@ TEST(GatLayerTest, AttentionRowsSumToOneOnEdges) {
   // Mask with self loops.
   Tensor mask({3, 3}, {1, 1, 0, 1, 1, 1, 0, 1, 1});
   Variable h = Variable::Constant(Tensor::RandomUniform({3, 3}, -1, 1, &rng));
-  (void)layer.Forward(h, Variable::Constant(mask));
-  const Tensor attn = layer.last_attention();
+  const Tensor attn = layer.Attention(h, Variable::Constant(mask));
   for (int i = 0; i < 3; ++i) {
     float total = 0.0f;
     for (int j = 0; j < 3; ++j) {

@@ -326,10 +326,8 @@ TEST(SlotCacheServingTest, ConcurrentPushSwapPredictNoTornReads) {
   pusher.join();
   swapper.join();
 
-  // Drain every future BEFORE verifying: DirectPrediction below runs the
-  // same model objects the workers use (Forward caches attention matrices
-  // for inspection), so expectations may only be computed once all batches
-  // have completed — each get() is the synchronisation edge.
+  // Drain every future BEFORE verifying: each get() is the synchronisation
+  // edge after which a response may be read.
   std::vector<PredictResponse> responses;
   responses.reserve(futures.size());
   for (auto& future : futures) responses.push_back(future.get());

@@ -456,7 +456,16 @@ TEST(ShardServingTest, HotSwapUnderLoadNeverTearsVersions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     h.fleet.Publish(ModelSnapshot(models[v], h.normalizer, h.scale, h.config));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // Wait, bounded, for a response served after the last swap: slow kernels
+  // on a loaded host can take longer than the swaps above to serve even
+  // the first one.
+  const int served_before_last_swap = served.load();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (served.load() == served_before_last_swap && !torn.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   done.store(true);
   for (auto& c : clients) c.join();
   EXPECT_FALSE(torn.load()) << "a response mixed rows from two versions";

@@ -7,9 +7,11 @@
 // discipline as golden_regression_test).
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -41,6 +43,14 @@ data::StHistory RandomHistory(int n, int k, int d, uint64_t seed) {
   h.inflow_long = fill(d);
   h.outflow_long = fill(d);
   return h;
+}
+
+bool BitEqual(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape()) return false;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    if (got.flat(i) != want.flat(i)) return false;
+  }
+  return true;
 }
 
 void ExpectBitEqual(const Tensor& got, const Tensor& want) {
@@ -206,6 +216,74 @@ TEST(StagedForwardTest, FcgPatternSplitComposesBitIdentically) {
     EXPECT_EQ(staged.edge_csr->nnz(), direct.edge_csr->nnz());
     ExpectBitEqual(staged.weights.value(), direct.weights.value());
   }
+}
+
+// The forward writes no state: monolithic forwards, staged replays and the
+// attention inspection may run concurrently on one shared model (what
+// serving and the online trainer do with a live snapshot), and every result
+// equals the serial one bit for bit. Under TSAN this also proves that no
+// forward writes into the model.
+TEST(StagedForwardTest, ConcurrentInferenceForwardsShareOneModel) {
+  const int saved_threads = common::GetNumThreads();
+  common::SetNumThreads(2);
+  const int n = 10;
+  StgnnConfig config;
+  config.short_term_slots = 3;
+  config.long_term_days = 1;
+  config.pcg_layers = 2;
+  config.attention_heads = 2;
+  common::Rng model_rng(91);
+  const StgnnDjdModel model(n, config, &model_rng);
+  const data::StHistory history = RandomHistory(n, 3, 1, 92);
+  const StgnnDjdModel::Embeddings embeddings =
+      model.ComputeEmbeddings(history);
+  const FlowConvolutedGraph graph = model.BuildGraph(embeddings);
+  const AttentionGnnLayer& first_pcg = model.pcg_branch()->attention_layer(0);
+  auto attention = [&] {
+    return first_pcg.Attention(
+        autograd::Variable::Constant(embeddings.node_features));
+  };
+
+  const Tensor want_forward =
+      model.Forward(history, /*training=*/false, nullptr).value();
+  const Tensor want_staged = model.ForwardFromStages(embeddings, &graph);
+  const std::vector<Tensor> want_attention = attention();
+  ASSERT_EQ(want_attention.size(), 2u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 6;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        bool same = true;
+        switch ((w + round) % 3) {
+          case 0:
+            same = BitEqual(
+                model.Forward(history, /*training=*/false, nullptr).value(),
+                want_forward);
+            break;
+          case 1:
+            same = BitEqual(model.ForwardFromStages(embeddings, &graph),
+                            want_staged);
+            break;
+          case 2: {
+            const std::vector<Tensor> heads = attention();
+            same = heads.size() == want_attention.size();
+            for (size_t u = 0; u < heads.size(); ++u) {
+              same = same && BitEqual(heads[u], want_attention[u]);
+            }
+            break;
+          }
+        }
+        if (!same) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  common::SetNumThreads(saved_threads);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -6,20 +6,13 @@
 // threads and writes BENCH_kernels.json: ns/op and items/s per kernel per
 // thread count, alongside the recorded seed (pre-parallelisation, -O2,
 // single-thread) numbers so every future PR's perf claims are checkable
-// against both.
+// against both. End-to-end numbers for the full model (train step, served
+// request) come from perfbench/, not from here.
 //
-// It also measures end-to-end training and inference steps (forward, MSE
-// loss, release-graph backward, fused Adam update on a flow-aggregation
-// layer) at n in {128, 256, 512} with the tensor buffer pool on and off,
-// and writes BENCH_e2e.json: ns/step, predictions/s, and fresh-allocation /
-// pool-hit counts per steady-state step — the tracked record behind the
-// "zero steady-state allocations" claim.
-//
-// Usage: bench_baseline [--out PATH] [--e2e-out PATH] [--min-seconds S]
-//                       [--trace-out PATH] [--only-e2e]
-// Regenerate the tracked files from the repo root with:
-//   ./build/tools/bench_baseline --out BENCH_kernels.json \
-//       --e2e-out BENCH_e2e.json
+// Usage: bench_baseline [--out PATH] [--min-seconds S] [--trace-out PATH]
+//                       [--large]
+// Regenerate the tracked file from the repo root with:
+//   ./build/tools/bench_baseline --out BENCH_kernels.json
 //
 // --trace-out additionally records every kernel span during the sweep and
 // writes a chrome://tracing / Perfetto JSON next to the bench numbers, plus
@@ -36,18 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "autograd/inference_precision.h"
 #include "autograd/ops.h"
-#include "common/buffer_pool.h"
 #include "common/counters.h"
-#include "common/cpuid.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/aggregators.h"
-#include "nn/optimizer.h"
 #include "tensor/csr.h"
-#include "tensor/precision.h"
 #include "tensor/tensor.h"
 
 namespace stgnn {
@@ -225,160 +213,8 @@ void MeasureKernels(int threads, bool large, std::vector<Measurement>* out) {
   }
 }
 
-// One end-to-end measurement: a train or inference step at graph size n
-// with the buffer pool on or off. fresh_allocs/pool_hits are per-step
-// averages over a steady-state window (after warmup) from BufferPool's own
-// counters, so they are meaningful even in STGNN_ENABLE_TRACING=OFF builds.
-struct E2eMeasurement {
-  std::string name;  // "train_step" or "inference_step"
-  int n;
-  bool pooled;
-  double ns_per_op;
-  double items;  // predictions per step (n*n)
-  double fresh_allocs_per_step;
-  double pool_hits_per_step;
-  // Weight precision the step ran with: fp32 for the regular rows, int8
-  // for the quantized inference row.
-  std::string precision = "fp32";
-};
-
-// Fresh heap allocations made through the pool since `before`: misses while
-// enabled plus bypasses while disabled.
-double FreshAllocsSince(const common::BufferPool::Stats& before,
-                        const common::BufferPool::Stats& after) {
-  return static_cast<double>((after.misses - before.misses) +
-                             (after.bypasses - before.bypasses));
-}
-
-template <typename StepFn>
-E2eMeasurement MeasureStep(const std::string& name, int n, bool pooled,
-                           StepFn step) {
-  common::BufferPool* pool = common::BufferPool::Global();
-  for (int i = 0; i < 3; ++i) step();  // warm the pool past steady state
-  const double ns = TimeNs(step);
-  constexpr int kWindow = 10;
-  const common::BufferPool::Stats before = pool->stats();
-  for (int i = 0; i < kWindow; ++i) step();
-  const common::BufferPool::Stats after = pool->stats();
-  return {name,
-          n,
-          pooled,
-          ns,
-          static_cast<double>(n) * n,
-          FreshAllocsSince(before, after) / kWindow,
-          static_cast<double>(after.hits - before.hits) / kWindow};
-}
-
-void MeasureE2e(std::vector<E2eMeasurement>* out) {
-  common::SetNumThreads(common::HardwareThreads());
-  common::BufferPool* pool = common::BufferPool::Global();
-  const bool prior = pool->enabled();
-  for (int n : {128, 256, 512}) {
-    for (int pooled = 0; pooled < 2; ++pooled) {
-      pool->SetEnabled(pooled != 0);
-      common::Rng rng(9);
-      core::FlowGnnLayer layer(n, &rng);
-      // ~25% random edges plus self-loops, like an FCG slot's flow matrix.
-      Tensor mask = Tensor::Zeros({n, n});
-      for (int i = 0; i < n; ++i) {
-        mask.at(i, i) = 1.0f;
-        for (int j = 0; j < n; ++j) {
-          if (rng.Uniform() < 0.25) mask.at(i, j) = 1.0f;
-        }
-      }
-      Variable features =
-          Variable::Constant(Tensor::RandomNormal({n, n}, 0, 1, &rng));
-      Variable flow = Variable::Constant(mask);
-      Variable target =
-          Variable::Constant(Tensor::RandomNormal({n, n}, 0, 1, &rng));
-      nn::Adam adam(layer.parameters(), 1e-3f);
-      volatile float sink = 0;
-      out->push_back(MeasureStep("train_step", n, pooled != 0, [&] {
-        adam.ZeroGrad();
-        Variable o = layer.Forward(features, flow);
-        Variable loss = ag::MeanAll(ag::Square(ag::Sub(o, target)));
-        loss.Backward({.release_graph = true});
-        adam.Step();
-        sink = sink + loss.value().item();
-      }));
-      out->push_back(MeasureStep("inference_step", n, pooled != 0, [&] {
-        Variable o = layer.Forward(features, flow);
-        sink = sink + o.value().flat(0);
-      }));
-      // Quantized inference row (pooled only): the same forward through an
-      // int8 weight snapshot, the serving path's reduced-precision tier.
-      // Training rows are always fp32 by design.
-      if (pooled != 0) {
-        const auto quantized = autograd::BuildQuantizedWeightSet(
-            tensor::Precision::kInt8, layer.parameters());
-        E2eMeasurement m = MeasureStep("inference_step", n, true, [&] {
-          autograd::QuantizedInferenceScope scope(quantized.get());
-          Variable o = layer.Forward(features, flow);
-          sink = sink + o.value().flat(0);
-        });
-        m.precision = tensor::PrecisionName(tensor::Precision::kInt8);
-        out->push_back(m);
-      }
-    }
-  }
-  pool->SetEnabled(prior);
-}
-
-int WriteE2eJson(const std::string& path,
-                 const std::vector<E2eMeasurement>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"stgnn-bench-e2e-v2\",\n");
-  std::fprintf(f, "  \"hardware_threads\": %d,\n", common::HardwareThreads());
-  std::fprintf(f, "  \"isa\": \"%s\",\n",
-               common::IsaName(common::ActiveIsa()));
-  std::fprintf(f, "  \"model\": \"FlowGnnLayer fwd + MSE + release-graph "
-                  "bwd + fused Adam, 25%% density flow matrix\",\n");
-  std::fprintf(f, "  \"runs\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const E2eMeasurement& m = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"n\": %d, \"pooled\": %s, "
-                 "\"precision\": \"%s\", "
-                 "\"ns_per_step\": %.1f, \"items_per_s\": %.3e, "
-                 "\"fresh_allocs_per_step\": %.1f, "
-                 "\"pool_hits_per_step\": %.1f}%s\n",
-                 m.name.c_str(), m.n, m.pooled ? "true" : "false",
-                 m.precision.c_str(), m.ns_per_op,
-                 m.items / (m.ns_per_op * 1e-9), m.fresh_allocs_per_step,
-                 m.pool_hits_per_step, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // Pooled-minus-unpooled relative time delta per (name, n) at fp32:
-  // positive means the pooled step is SLOWER. Tracks the known n=512
-  // pooled-inference regression instead of letting it hide in raw rows.
-  std::fprintf(f, "  \"pooled_vs_unpooled_delta\": {");
-  bool first = true;
-  for (const E2eMeasurement& m : results) {
-    if (!m.pooled || m.precision != "fp32") continue;
-    for (const E2eMeasurement& base : results) {
-      if (base.pooled || base.precision != "fp32" || base.name != m.name ||
-          base.n != m.n || base.ns_per_op <= 0.0) {
-        continue;
-      }
-      std::fprintf(f, "%s\"%s_%d\": %.4f", first ? "" : ", ",
-                   m.name.c_str(), m.n,
-                   (m.ns_per_op - base.ns_per_op) / base.ns_per_op);
-      first = false;
-    }
-  }
-  std::fprintf(f, "}\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-  return 0;
-}
-
-int Run(const std::string& out_path, const std::string& e2e_path,
-        const std::string& trace_path, bool only_e2e, bool large) {
+int Run(const std::string& out_path, const std::string& trace_path,
+        bool large) {
   std::vector<int> sweep = {1, 2, 4, common::HardwareThreads()};
   std::sort(sweep.begin(), sweep.end());
   sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
@@ -391,15 +227,6 @@ int Run(const std::string& out_path, const std::string& e2e_path,
     }
     common::trace::SetEnabled(true);
   }
-
-  if (!e2e_path.empty()) {
-    std::fprintf(stderr, "measuring end-to-end steps (pooled vs unpooled)...\n");
-    std::vector<E2eMeasurement> e2e;
-    MeasureE2e(&e2e);
-    const int rc = WriteE2eJson(e2e_path, e2e);
-    if (rc != 0) return rc;
-  }
-  if (only_e2e) return 0;
 
   std::vector<Measurement> results;
   for (int threads : sweep) {
@@ -471,30 +298,23 @@ int Run(const std::string& out_path, const std::string& e2e_path,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_kernels.json";
-  std::string e2e_path = "BENCH_e2e.json";
   std::string trace_path;
-  bool only_e2e = false;
   bool large = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--e2e-out") == 0 && i + 1 < argc) {
-      e2e_path = argv[++i];
     } else if (std::strcmp(argv[i], "--min-seconds") == 0 && i + 1 < argc) {
       stgnn::g_min_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--only-e2e") == 0) {
-      only_e2e = true;
     } else if (std::strcmp(argv[i], "--large") == 0) {
       large = true;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_baseline [--out PATH] [--e2e-out PATH] "
-                   "[--min-seconds S] [--trace-out PATH] [--only-e2e] "
-                   "[--large]\n");
+                   "usage: bench_baseline [--out PATH] [--min-seconds S] "
+                   "[--trace-out PATH] [--large]\n");
       return 2;
     }
   }
-  return stgnn::Run(out_path, e2e_path, trace_path, only_e2e, large);
+  return stgnn::Run(out_path, trace_path, large);
 }

@@ -217,8 +217,10 @@ RunResult RunOne(int n, const Options& options) {
   const float input_scale =
       config.input_scale_multiplier / flow.max_train_flow;
 
-  // v1 into the registry; a private clone for the frozen curve (never
-  // shared, so its attention cache is race-free by construction).
+  // v1 into the registry. The frozen curve keeps reading v1 after the
+  // trainer swaps it out: snapshots are immutable and Forward is a pure
+  // const function, and SlotRmse runs outside any QuantizedInferenceScope,
+  // so v1 is scored fp32 exactly as the offline model.
   serve::ModelRegistry registry;
   {
     serve::ModelSnapshot snapshot(
@@ -227,8 +229,8 @@ RunResult RunOne(int n, const Options& options) {
     serve::QuantizeSnapshot(&snapshot, config.infer_precision);
     registry.Publish(std::move(snapshot));
   }
-  const std::unique_ptr<core::StgnnDjdModel> frozen =
-      CloneModel(*predictor.model(), n, config);
+  const std::shared_ptr<const serve::ModelSnapshot> frozen =
+      registry.Current();
 
   // Ring warmed with everything up to the stream start.
   serve::FeatureRing ring(n, config.short_term_slots, config.long_term_days,
@@ -259,7 +261,8 @@ RunResult RunOne(int n, const Options& options) {
     const auto live = registry.Current();
     const double online_rmse =
         SlotRmse(*live->model, live->normalizer, history, flow, t);
-    const double frozen_rmse = SlotRmse(*frozen, normalizer, history, flow, t);
+    const double frozen_rmse =
+        SlotRmse(*frozen->model, frozen->normalizer, history, flow, t);
     result.series.slot.push_back(t);
     result.series.online_rmse.push_back(online_rmse);
     result.series.frozen_rmse.push_back(frozen_rmse);
